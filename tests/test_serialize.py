@@ -86,7 +86,9 @@ def test_matrix_roundtrip():
         assert obj["n"] == 3 and obj["family"] == family
         assert matrix_from_json(obj) == m
     seq = [sample_matrix(tropical(), 2, rng) for _ in range(4)]
-    assert matrices_from_json(matrices_to_json(seq)) == seq
+    parsed = matrices_from_json(matrices_to_json(seq))
+    assert parsed == seq
+    assert all(m.semiring is parsed[0].semiring for m in parsed)  # one shared descriptor
     assert matrices_from_json({"matrices": matrices_to_json(seq)}) == seq
     with pytest.raises(ParseError):
         matrices_from_json([])
@@ -94,6 +96,8 @@ def test_matrix_roundtrip():
     bad["n"] = 3
     with pytest.raises(ParseError):
         matrix_from_json(bad)
+    mixed = matrices_from_json([matrix_to_json(seq[0]), matrix_to_json(sample_matrix(trunc(1, 3), 2, rng))])
+    assert mixed[1].semiring == trunc(1, 3)  # kept as parsed, for products to reject
 
 
 def test_witness_json():
