@@ -85,6 +85,13 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _check_counts(args) -> None:
+    for name in ("trials", "cap", "m"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ParseError(f"--{name} must be non-negative, got {value}")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -406,10 +413,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BipermuteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

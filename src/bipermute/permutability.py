@@ -15,7 +15,6 @@ the same per-matrix edge assignment necessarily have equal products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -354,33 +353,20 @@ def weak_bound(n: int) -> int:
     """Smallest k with k! > c^k for c = n^(2n^2), by exact integer comparison.
 
     This is the tuple length at which the path-assignment pigeonhole forces
-    two orderings to agree.  Exact factorials keep the answer provable; the
-    bound is practical to evaluate for n <= 2 (already astronomically large
-    as an experiment), while n >= 3 would need factorials of ~e*c terms.
+    two orderings to agree.  A running factorial and power keep the answer
+    exact; n = 2 takes 692 steps (already astronomically large as an
+    experiment), while n >= 3 would need about e*c of them, so it raises
+    DomainError.
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
+    if n >= 3:
+        raise DomainError(f"weak_bound is evaluated only for n <= 2, got n = {n}")
     c = n ** (2 * n * n)
-    if c <= 16:
-        kfact, cpow, k = 1, 1, 0
-        while True:
-            k += 1
-            kfact *= k
-            cpow *= c
-            if kfact > cpow:
-                return k
-    # k! <= k^k <= c^k for k <= c, and k!/c^k grows monotonically past c,
-    # so the unique crossing can be bisected.
-    def crossed(k: int) -> bool:
-        return math.factorial(k) > c ** k
-
-    lo, hi = c, 2 * c
-    while not crossed(hi):
-        lo, hi = hi, hi * 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    kfact, cpow, k = 1, 1, 0
+    while True:
+        k += 1
+        kfact *= k
+        cpow *= c
+        if kfact > cpow:
+            return k

@@ -32,6 +32,7 @@ from .semirings import (
     BOOLEAN,
     CHAIN,
     TRUNC,
+    Check,
     Exhaustive,
     FiniteSemiringTable,
     Sampled,
@@ -193,16 +194,9 @@ def trunc12_congruence(protected: Sequence[Scalar]) -> CongruenceQuotient:
 
 
 @dataclass(frozen=True)
-class CongruenceCheck:
-    name: str
-    passed: bool
-    counterexample: Optional[tuple[Scalar, ...]] = None
-
-
-@dataclass(frozen=True)
 class CongruenceReport:
     mode: str
-    checks: tuple[CongruenceCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -305,7 +299,7 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
         raise DomainError(f"unknown verification mode {mode!r}")
 
     names = ("partition", "add_congruence", "mul_congruence", "table_consistency")
-    checks = tuple(CongruenceCheck(n, n not in failures, failures.get(n)) for n in names)
+    checks = tuple(Check(n, n not in failures, failures.get(n)) for n in names)
     return CongruenceReport(mode_name, checks)
 
 

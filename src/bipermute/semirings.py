@@ -316,8 +316,8 @@ class Semiring:
                 return a + b
 
             return mul
-        if f == TRUNC:
-            y = self.y
+        if f in (TRUNC, TRUNC_NAT):
+            top = self.y if f == TRUNC else self.k
 
             def mul(a, b):
                 if a is NEG_INF or b is NEG_INF:
@@ -327,21 +327,7 @@ class Semiring:
                 if b is ADJOINED_ID:
                     return a
                 s = a + b
-                return s if s < y else y
-
-            return mul
-        if f == TRUNC_NAT:
-            k = self.k
-
-            def mul(a, b):
-                if a is NEG_INF or b is NEG_INF:
-                    return NEG_INF
-                if a is ADJOINED_ID:
-                    return b
-                if b is ADJOINED_ID:
-                    return a
-                s = a + b
-                return s if s < k else k
+                return s if s < top else top
 
             return mul
         if f == TRUNC_NEG_NAT:
@@ -385,48 +371,13 @@ class Semiring:
 
     @cached_property
     def _leq(self) -> Callable[[Scalar, Scalar], bool]:
-        if self.family in (CHAIN, BOOLEAN):
+        """The total order, defined by addition: a <= b iff a + b = b.
 
-            def leq(a, b):
-                if a is NEG_INF:
-                    return True
-                if b is NEG_INF:
-                    return False
-                if a is ADJOINED_ID or b is ADJOINED_ID:
-                    if a is b:
-                        return True
-                    raise UndefinedPartialSum(f"{a!r} and {b!r} are not comparable")
-                return a.index <= b.index
-
-            return leq
-        if self.family == TABLE:
-            tbl = self.table.add
-
-            def leq(a, b):
-                if a is NEG_INF:
-                    return True
-                if b is NEG_INF:
-                    return False
-                if a is ADJOINED_ID or b is ADJOINED_ID:
-                    if a is b:
-                        return True
-                    raise UndefinedPartialSum(f"{a!r} and {b!r} are not comparable")
-                return tbl[a.index][b.index] == b.index
-
-            return leq
-
-        def leq(a, b):
-            if a is NEG_INF:
-                return True
-            if b is NEG_INF:
-                return False
-            if a is ADJOINED_ID or b is ADJOINED_ID:
-                if a is b:
-                    return True
-                raise UndefinedPartialSum(f"{a!r} and {b!r} are not comparable")
-            return a <= b
-
-        return leq
+        Bipotence makes this a total order with NEG_INF at the bottom; a
+        mixed adjoined identity raises UndefinedPartialSum from ``_add``.
+        """
+        add = self._add
+        return lambda a, b: add(a, b) == b
 
 
 # -- factories --------------------------------------------------------------
@@ -633,7 +584,9 @@ class Sampled:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class Check:
+    """One named law of a report: whether it held, and a counterexample if not."""
+
     name: str
     passed: bool
     counterexample: Optional[tuple[Scalar, ...]] = None
@@ -643,7 +596,7 @@ class AxiomCheck:
 class AxiomReport:
     semiring: Semiring
     mode: str
-    checks: tuple[AxiomCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -695,7 +648,7 @@ def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomRepor
                 failures["order_compat_mul"] = (a, b, c)
 
     checks = tuple(
-        AxiomCheck(name, name not in failures, failures.get(name)) for name in names
+        Check(name, name not in failures, failures.get(name)) for name in names
     )
     return AxiomReport(desc, mode_name, checks)
 

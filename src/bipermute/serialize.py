@@ -27,7 +27,6 @@ from .semirings import (
     TRUNC_NEG_NAT,
     AxiomReport,
     FiniteSemiringTable,
-    ObstructionReport,
     Semiring,
     boolean,
     chain,
@@ -222,19 +221,3 @@ def iso_report_to_json(report: IsoReport) -> dict:
         "passed": report.passed,
     }
 
-
-def obstruction_report_to_json(report: ObstructionReport) -> dict:
-    return {
-        "placements": [
-            {
-                "placement": p.placement,
-                "witness": p.witness,
-                "lhs": p.lhs,
-                "rhs": p.rhs,
-                "agree": p.agree,
-            }
-            for p in report.placements
-        ],
-        "identity_scan": [{"element": name, "is_identity": flag} for name, flag in report.identity_scan],
-        "embeddable": report.embeddable,
-    }

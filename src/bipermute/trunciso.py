@@ -22,7 +22,7 @@ from typing import Optional, Union
 from .errors import BadInterval, OutOfDomain
 from .sampling import derive_rng, sample_trunc_value
 from .scalars import NEG_INF, Rational, Scalar
-from .semirings import Finite, Semiring, element_order, trunc
+from .semirings import Check, Finite, Semiring, element_order, trunc
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,9 @@ def apply_iso(pl_map: PiecewiseLinearMap, a: Scalar) -> Scalar:
 
 
 @dataclass(frozen=True)
-class IsoCheck:
-    name: str
-    passed: bool
-    counterexample: Optional[tuple[Scalar, ...]] = None
-
-
-@dataclass(frozen=True)
 class IsoReport:
     trials: int
-    checks: tuple[IsoCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -174,7 +167,7 @@ def verify_iso(pl_map: PiecewiseLinearMap, src: Semiring, dst: Semiring, seed: i
         failures["sentinels"] = (NEG_INF, 0)
 
     names = ("preserves_add", "preserves_mul", "preserves_order", "endpoints", "sentinels")
-    return IsoReport(trials, tuple(IsoCheck(n, n not in failures, failures.get(n)) for n in names))
+    return IsoReport(trials, tuple(Check(n, n not in failures, failures.get(n)) for n in names))
 
 
 def max_element_order(y: Rational) -> int:

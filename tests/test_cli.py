@@ -149,3 +149,27 @@ def test_parse_errors_exit_2(tmp_path):
     assert main(["axioms", "--inline", "{not json"]) == 2
     assert main(["axioms", "--semiring", str(tmp_path / "missing.json")]) == 2
     assert main(["product", "--input", write(tmp_path / "bad.json", {"matrices": []})]) == 2
+
+
+def test_negative_counts_exit_2(tmp_path, capsys):
+    tropical = '{"family":"tropical"}'
+    cases = [
+        ["axioms", "--inline", tropical, "--trials", "-5"],
+        ["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "-1"],
+        ["classify-element", "--inline", '{"family":"trunc","x":"1","y":"3"}', "1", "--cap", "-5"],
+        ["witness", "bicyclic_rho", "--m", "-3"],
+        ["permute", "--input", str(tmp_path / "unused.json"), "--cap", "-1"],
+        ["verify-all", "--trials", "-2", "--item", "noidentity"],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --") and captured.err.count("\n") == 1, captured.err
+
+    # 0 keeps its meaning: the command's default count
+    default, zero = tmp_path / "default.json", tmp_path / "zero.json"
+    assert main(["axioms", "--inline", tropical, "--out", str(default)]) == 0
+    assert main(["axioms", "--inline", tropical, "--trials", "0", "--out", str(zero)]) == 0
+    assert zero.read_bytes() == default.read_bytes()

@@ -353,3 +353,10 @@ def test_weak_bound():
     assert math.factorial(k2 - 1) <= c ** (k2 - 1)
     with pytest.raises(DomainError):
         weak_bound(0)
+
+
+def test_weak_bound_refuses_n_3_and_up_at_once():
+    # n = 3 would need factorials of about e * 3^18 terms; the guard answers first
+    for n in (3, 4, 10**6):
+        with pytest.raises(DomainError, match="n <= 2"):
+            weak_bound(n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipermute.errors import DomainError, InfeasibleExhaustive, NotFiniteOrder, UndefinedPartialSum
+from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import derive_rng, sample_scalar
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom
 from bipermute.semirings import (
@@ -59,6 +60,72 @@ def test_leq_examples():
     assert srk_leq(chain(3), Atom(2), Atom(2))
     assert not srk_leq(trunc(1, 2), 1, 0)
 
+
+# -- the order derived from addition, against a reference order ------------------
+
+
+def _reference_leq(desc, a, b):
+    """The order written out per carrier kind, independent of ``_add``."""
+    if a is NEG_INF:
+        return True
+    if b is NEG_INF:
+        return False
+    if desc.family == "table":
+        return desc.table.add[a.index][b.index] == b.index
+    if isinstance(a, Atom):
+        return a.index <= b.index
+    return a <= b
+
+
+# NEG_INF joins every sample: the sentinel rules are the same in every family;
+# finite carriers without a sample use all their atoms
+_ORDER_CASES = {
+    "tropical": (tropical, [-3, F(-1, 2), 0, F(5, 2), 7, F(7)]),
+    "nat_max": (nat_max, [1, 2, 5]),
+    "nat_max_zero": (lambda: adjoin_zero(nat_max()), [1, 2, 5]),
+    "neg_nat_max": (neg_nat_max, [-5, -2, -1]),
+    "neg_nat_max_zero": (lambda: adjoin_zero(neg_nat_max()), [-5, -2, -1]),
+    "trunc13": (lambda: trunc(1, 3), [0, 1, F(3, 2), 2, 3]),
+    "trunc_nat4": (lambda: trunc_nat(4), [1, 2, 3, 4]),
+    "trunc_nat4_zero": (lambda: adjoin_zero(trunc_nat(4)), [1, 2, 3, 4]),
+    "trunc_neg_nat3": (lambda: trunc_neg_nat(3), [-3, -2, -1]),
+    "chain4": (lambda: chain(4), None),
+    "boolean": (boolean, None),
+    "noidentity": (noidentity_semiring, None),
+    "trunc12_quotient": (lambda: table_semiring(trunc12_congruence([F(3, 2)]).tables), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORDER_CASES))
+def test_derived_order_matches_reference(case):
+    make, sample = _ORDER_CASES[case]
+    desc = make()
+    if sample is None:
+        sample = [Atom(i) for i in range(desc.size)]
+    leq = desc._leq
+    carrier = [NEG_INF] + sample
+    for a in carrier:
+        for b in carrier:
+            assert leq(a, b) is _reference_leq(desc, a, b), (a, b)
+    assert leq(ADJOINED_ID, ADJOINED_ID) is True
+    assert leq(NEG_INF, ADJOINED_ID) is True and leq(ADJOINED_ID, NEG_INF) is False
+    for a in sample:
+        with pytest.raises(UndefinedPartialSum):
+            leq(a, ADJOINED_ID)
+        with pytest.raises(UndefinedPartialSum):
+            leq(ADJOINED_ID, a)
+
+
+def test_truncated_products_saturate_at_the_top():
+    for k in (1, 2, 5):
+        mul = trunc_nat(k)._mul
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                assert mul(a, b) == min(a + b, k)
+    mul = trunc(1, F(5, 2))._mul
+    assert mul(1, F(5, 4)) == F(9, 4)
+    assert mul(F(3, 2), 2) == F(5, 2)
+    assert mul(0, 2) == 2 and mul(NEG_INF, 2) is NEG_INF
 
 def test_domain_errors():
     with pytest.raises(DomainError):
