@@ -8,7 +8,8 @@ same config and seed always produce byte-identical output.
 
 Exit codes: 0 when every executed check passed (or the command is purely
 informational), 1 when a check failed or a search was inconclusive, 2 for
-malformed input or parameters.  The seed defaults to 1729; the environment
+malformed input or parameters, 3 for an internal error (the code contradicted
+a theorem it implements).  The seed defaults to 1729; the environment
 variable BIPERMUTE_SEED overrides that default only when --seed is absent.
 """
 
@@ -34,15 +35,14 @@ from .constructions import (
     witness_U3_negNmax,
     witness_U3_negNmax_partial_product,
 )
-from .errors import BipermuteError, ParseError
+from .errors import BipermuteError, InvariantViolation, ParseError
 from .matrices import seq_product
-from .permutability import Found, IdentityOnly, SearchPolicy, find_preserving_permutation
-from .quotients import chain_congruence, trunc12_congruence, verify_congruence
+from .permutability import EXHAUSTIVE_CAP_DEFAULT, Found, IdentityOnly, SearchPolicy, find_preserving_permutation
+from .quotients import protecting_congruence, verify_congruence
 from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import parse_rational, scalar_from_json, scalar_to_json
 from .semirings import (
-    CHAIN,
-    BOOLEAN,
+    DEFAULT_ORDER_CAP,
     TRUNC,
     Exhaustive,
     Finite,
@@ -169,7 +169,7 @@ def _class_to_json(cls) -> dict:
 def _cmd_classify_element(args) -> int:
     desc = _load_semiring(args)
     element = _parse_scalar_arg(args.element)
-    cap = args.cap or 10_000
+    cap = args.cap or DEFAULT_ORDER_CAP
     order = element_order(desc, element, cap=cap)
     cls = classify_monogenic(desc, element, cap=cap)
     _emit(
@@ -210,7 +210,7 @@ def _cmd_product(args) -> int:
 def _cmd_permute(args) -> int:
     seq = matrices_from_json(_load_json(args.input))
     policy = SearchPolicy(
-        exhaustive_cap=args.cap if args.cap is not None else 8,
+        exhaustive_cap=args.cap if args.cap is not None else EXHAUSTIVE_CAP_DEFAULT,
         random_trials=args.trials or 0,
         seed=_resolve_seed(args),
     )
@@ -282,14 +282,11 @@ def _require_m(args) -> int:
 def _cmd_quotient(args) -> int:
     desc = _load_semiring(args)
     protected = [scalar_from_json(v) for v in _load_json(args.input)]
-    if desc.family in (CHAIN, BOOLEAN):
-        quotient = chain_congruence(desc, protected)
+    quotient = protecting_congruence(desc, protected)
+    if desc.carrier_elements() is not None:
         mode = Exhaustive()
-    elif desc.family == TRUNC and desc.x == 1 and desc.y == 2:
-        quotient = trunc12_congruence(protected)
-        mode = Sampled(seed=_resolve_seed(args), trials=args.trials or 2000)
     else:
-        raise ParseError("quotients are constructed over chains or the truncation on [1,2]")
+        mode = Sampled(seed=_resolve_seed(args), trials=args.trials or 2000)
     verification = verify_congruence(quotient, mode)
     _emit(
         {
@@ -415,6 +412,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BipermuteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

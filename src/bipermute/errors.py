@@ -73,7 +73,11 @@ class LengthTooShort(BipermuteError):
     """A sequence is shorter than the pigeonhole bound it must meet."""
 
 
-class NoPairFound(BipermuteError):
+class InvariantViolation(BipermuteError):
+    """The code contradicted a theorem it implements: a bug, not bad input."""
+
+
+class NoPairFound(InvariantViolation):
     """No equal-image pair exists where the pigeonhole principle guarantees one (a bug)."""
 
 
@@ -81,7 +85,7 @@ class PatternMismatch(BipermuteError):
     """A matrix sequence does not match the structural pattern a finder requires."""
 
 
-class CaseFallthrough(BipermuteError):
+class CaseFallthrough(InvariantViolation):
     """The case analysis of the transposition finder failed where it must not."""
 
 

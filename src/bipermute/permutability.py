@@ -2,10 +2,12 @@
 
 A sequence A_1..A_k is permutation-rigid when only the identity ordering
 yields its product; strong permutability asserts a non-trivial preserving
-permutation exists for every long-enough tuple.  The searcher here tries a
-fixed strategy ladder (equal pair, adjacent transpositions, general
-transpositions, random shuffles, full enumeration) and always re-verifies a
-candidate exactly before reporting it.
+permutation exists for every long-enough tuple.  The searcher here is one
+stream of candidates from a fixed strategy ladder (equal pair, adjacent
+transpositions, general transpositions, random shuffles), then a full
+enumeration.  The strategies only propose; one function, ``_verified``,
+multiplies each candidate out and decides, and the finders of
+:mod:`bipermute.quotients` report through it too.
 
 The path-assignment machinery realizes the combinatorial argument for weak
 permutability: every entry of a permuted product is attained by one path in
@@ -16,7 +18,7 @@ the same per-matrix edge assignment necessarily have equal products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     CapExceeded,
@@ -29,9 +31,8 @@ from .matrices import FULL, Matrix, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 
 EXHAUSTIVE_CAP_DEFAULT = 8
-# The transposition scan streams each middle segment as one running product
-# and stores none of them; beyond this length its O(k^2) products are skipped.
-SEGMENT_STORAGE_CAP = 2048
+# The general transposition rung takes O(k^2) products; longer sequences skip it.
+TRANSPOSITION_SCAN_MAX_LENGTH = 2048
 # The exhaustive sweep memoizes dead states only while at least this many
 # matrices remain.  On 30 random tropical 3x3 7-tuples with integer entries
 # that kept at most 1,095 keys (0.69 MiB tracemalloc peak); a limit of 2
@@ -76,7 +77,6 @@ class SearchPolicy:
 @dataclass(frozen=True)
 class IdentityOnly:
     k: int
-    evidence: str = "exhaustive"
 
 
 @dataclass(frozen=True)
@@ -131,41 +131,36 @@ def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
     matrices remain, which bounds the memo's memory (the states near the
     leaves are the most numerous and the cheapest to search again).
     """
+    return _sweep(seq, target, [], set(), None, 0, True)
+
+
+def _sweep(seq: Sequence[Matrix], target: Matrix, chosen: list[int], dead: set[tuple[int, tuple]],
+           prefix: Optional[Matrix], mask: int, on_identity: bool) -> Optional[Perm]:
+    """The subtree of ``_exhaustive_search`` below the prefix ``chosen``."""
     k = len(seq)
-    chosen: list[int] = []
-    dead: set[tuple[int, tuple]] = set()
-
-    def rec(prefix: Optional[Matrix], mask: int, on_identity: bool) -> Optional[Perm]:
-        depth = len(chosen)
-        memo = k - depth - 1 >= _DEAD_MIN_REMAINING
-        for idx in range(k):
-            bit = 1 << idx
-            if mask & bit:
+    depth = len(chosen)
+    memo = k - depth - 1 >= _DEAD_MIN_REMAINING
+    for idx in range(k):
+        bit = 1 << idx
+        if mask & bit:
+            continue
+        prod = seq[idx] if prefix is None else mat_mul(prefix, seq[idx])
+        child_identity = on_identity and idx == depth
+        if depth + 1 == k:
+            if not child_identity and prod == target:
+                return (*chosen, idx)
+            continue
+        if memo and not child_identity:
+            key = (mask | bit, prod.entries)
+            if key in dead:
                 continue
-            prod = seq[idx] if prefix is None else mat_mul(prefix, seq[idx])
-            child_identity = on_identity and idx == depth
-            if depth + 1 == k:
-                if not child_identity and prod == target:
-                    return (*chosen, idx)
-                continue
-            if memo and not child_identity:
-                key = (mask | bit, prod.entries)
-                if key in dead:
-                    continue
-                dead.add(key)
-            chosen.append(idx)
-            hit = rec(prod, mask | bit, child_identity)
-            chosen.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    try:
-        return rec(None, 0, True)
-    finally:
-        # rec's closure holds rec itself; breaking that cycle frees the memo
-        # now instead of at the next run of the cyclic garbage collector
-        del rec
+            dead.add(key)
+        chosen.append(idx)
+        hit = _sweep(seq, target, chosen, dead, prod, mask | bit, child_identity)
+        chosen.pop()
+        if hit is not None:
+            return hit
+    return None
 
 
 def exhaustive_identity_only(seq: Sequence[Matrix], cap: int = EXHAUSTIVE_CAP_DEFAULT) -> bool:
@@ -177,9 +172,62 @@ def exhaustive_identity_only(seq: Sequence[Matrix], cap: int = EXHAUSTIVE_CAP_DE
 
 
 def _verified(seq: Sequence[Matrix], target: Matrix, perm: Perm, strategy: str) -> Optional[Found]:
+    """Found iff ``perm`` multiplies out to exactly ``target``; every finder decides here."""
     if apply_perm_product(seq, perm) == target:
         return Found(perm, perm_kind(perm), strategy)
     return None
+
+
+def _first_repeat(keys: Iterable) -> Optional[tuple[int, int]]:
+    """The first (i, j), i < j, with equal keys, ordered by j; keys are drawn lazily."""
+    seen: dict = {}
+    for j, key in enumerate(keys):
+        i = seen.setdefault(key, j)
+        if i != j:
+            return i, j
+    return None
+
+
+def _swaps(seq, target, prefixes, suffixes, first_gap: int, last_gap: int, strategy: str):
+    """Transpositions (i, j) with first_gap <= j - i <= last_gap that keep the product.
+
+    The middle segment seq[i+1:j] is streamed as one running product per i.
+    """
+    k = len(seq)
+    for i in range(k - 1):
+        mid = None
+        for j in range(i + 1, min(i + last_gap + 1, k)):
+            if j - i >= first_gap:
+                tail = suffixes[j + 1] if j + 1 < k else None
+                if _combine(prefixes[i], seq[j], mid, seq[i], tail) == target:
+                    yield strategy, transposition(k, i, j)
+            mid = seq[j] if mid is None else mat_mul(mid, seq[j])
+
+
+def _candidates(seq: Sequence[Matrix], target: Matrix, policy: SearchPolicy):
+    """(strategy, perm) proposals of the ladder's cheap rungs, in rung order."""
+    k = len(seq)
+    if policy.try_equal_pair:
+        pair = _first_repeat(seq)
+        if pair is not None:
+            yield "equal_pair", transposition(k, *pair)
+    scan_all = policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH
+    if policy.try_adjacent or scan_all:
+        prefixes, suffixes = prefix_suffix_products(seq)
+        if policy.try_adjacent:
+            yield from _swaps(seq, target, prefixes, suffixes, 1, 1, "adjacent")
+        if scan_all:
+            first_gap = 2 if policy.try_adjacent else 1
+            yield from _swaps(seq, target, prefixes, suffixes, first_gap, k, "transposition")
+    if policy.random_trials > 0:
+        rng = derive_rng(policy.seed, "find_preserving_permutation", "random")
+        identity = identity_perm(k)
+        for _ in range(policy.random_trials):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            tperm = tuple(perm)
+            if tperm != identity:
+                yield "random", tperm
 
 
 def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = SearchPolicy()) -> PermutationWitness:
@@ -195,66 +243,17 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     if k < 2:
         raise LengthMismatch("need at least two matrices")
     target = seq_product(seq)
-
-    if policy.try_equal_pair:
-        seen: dict[Matrix, int] = {}
-        for idx, m in enumerate(seq):
-            prev = seen.get(m)
-            if prev is not None:
-                hit = _verified(seq, target, transposition(k, prev, idx), "equal_pair")
-                if hit:
-                    return hit
-            else:
-                seen[m] = idx
-
-    prefixes = suffixes = None
-    if policy.try_adjacent:
-        prefixes, suffixes = prefix_suffix_products(seq)
-        for t in range(k - 1):
-            tail = suffixes[t + 2] if t + 2 < k else None
-            cand = _combine(prefixes[t], seq[t + 1], seq[t], tail)
-            if cand == target:
-                hit = _verified(seq, target, transposition(k, t, t + 1), "adjacent")
-                if hit:
-                    return hit
-
-    if policy.try_all_transpositions and k <= SEGMENT_STORAGE_CAP:
-        if prefixes is None:
-            prefixes, suffixes = prefix_suffix_products(seq)
-        start_gap = 2 if policy.try_adjacent else 1
-        for i in range(k - 1):
-            mid = None if start_gap == 1 else seq[i + 1]
-            for j in range(i + start_gap, k):
-                tail = suffixes[j + 1] if j + 1 < k else None
-                cand = _combine(prefixes[i], seq[j], mid, seq[i], tail)
-                if cand == target:
-                    hit = _verified(seq, target, transposition(k, i, j), "transposition")
-                    if hit:
-                        return hit
-                mid = seq[j] if mid is None else mat_mul(mid, seq[j])
-
-    if policy.random_trials > 0:
-        rng = derive_rng(policy.seed, "find_preserving_permutation", "random")
-        identity = identity_perm(k)
-        for _ in range(policy.random_trials):
-            perm = list(range(k))
-            rng.shuffle(perm)
-            tperm = tuple(perm)
-            if tperm == identity:
-                continue
-            hit = _verified(seq, target, tperm, "random")
-            if hit:
-                return hit
-
+    for strategy, perm in _candidates(seq, target, policy):
+        hit = _verified(seq, target, perm, strategy)
+        if hit:
+            return hit
     if k <= policy.exhaustive_cap:
         perm = _exhaustive_search(seq, target)
-        if perm is not None:
-            hit = _verified(seq, target, perm, "exhaustive")
-            if hit:
-                return hit
-        else:
+        if perm is None:
             return IdentityOnly(k)
-
+        hit = _verified(seq, target, perm, "exhaustive")
+        if hit:
+            return hit
     return NoneFoundUnderPolicy(policy)
 
 

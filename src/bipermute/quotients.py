@@ -25,7 +25,7 @@ from .errors import (
     PatternMismatch,
 )
 from .matrices import FULL, Matrix, seq_product
-from .permutability import Found, PermutationWitness, apply_perm_product, perm_kind, transposition
+from .permutability import PermutationWitness, _first_repeat, _verified, transposition
 from .sampling import derive_rng, sample_scalar
 from .scalars import NEG_INF, Atom, Rational, Scalar
 from .semirings import (
@@ -79,6 +79,13 @@ def _contains(desc: Semiring, cls: ClassDesc, a: Scalar) -> bool:
     return True
 
 
+def _class_index(desc: Semiring, classes: Sequence[ClassDesc], a: Scalar) -> int:
+    for idx, cls in enumerate(classes):
+        if _contains(desc, cls, a):
+            return idx
+    raise DomainError(f"{a!r} is not covered by any congruence class")
+
+
 @dataclass(frozen=True)
 class CongruenceQuotient:
     """A finite quotient of a bipotent semiring given by ordered classes.
@@ -96,10 +103,7 @@ class CongruenceQuotient:
 
     def class_of(self, a: Scalar) -> int:
         self.source.validate(a)
-        for idx, cls in enumerate(self.classes):
-            if _contains(self.source, cls, a):
-                return idx
-        raise DomainError(f"{a!r} is not covered by any congruence class")
+        return _class_index(self.source, self.classes, a)
 
     def quotient_semiring(self) -> Semiring:
         return table_semiring(self.tables)
@@ -112,16 +116,10 @@ class CongruenceQuotient:
 
 
 def _build_quotient(source: Semiring, classes: Sequence[ClassDesc], reps: Sequence[Scalar]) -> CongruenceQuotient:
-    def locate(a: Scalar) -> int:
-        for idx, cls in enumerate(classes):
-            if _contains(source, cls, a):
-                return idx
-        raise DomainError(f"{a!r} not covered while building quotient tables")
-
     r = len(classes)
     add_fn, mul_fn = source._add, source._mul
-    add = tuple(tuple(locate(add_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))
-    mul = tuple(tuple(locate(mul_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))
+    add = tuple(tuple(_class_index(source, classes, add_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))
+    mul = tuple(tuple(_class_index(source, classes, mul_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))
     tables = FiniteSemiringTable(r, add, mul)
     return CongruenceQuotient(source, tuple(classes), tuple(reps), tables)
 
@@ -188,6 +186,19 @@ def trunc12_congruence(protected: Sequence[Scalar]) -> CongruenceQuotient:
         classes.append(Interval(lo, Fraction(2), lo_open=lo_open, hi_open=False))
         reps.append(lo if not lo_open else (lo + 2) / 2)
     return _build_quotient(source, classes, reps)
+
+
+def protecting_congruence(desc: Semiring, protected: Sequence[Scalar]) -> CongruenceQuotient:
+    """The congruence of ``desc`` protecting each given element in a singleton.
+
+    Chains (and the Boolean semiring) and the truncation on [1, 2] have one;
+    any other semiring raises DomainError.
+    """
+    if desc.family in (CHAIN, BOOLEAN):
+        return chain_congruence(desc, protected)
+    if desc.family == TRUNC and desc.x == 1 and desc.y == 2:
+        return trunc12_congruence(protected)
+    raise DomainError("quotients are constructed over chains or the truncation on [1,2]")
 
 
 # -- verification -------------------------------------------------------------
@@ -336,37 +347,20 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     for m in seq:
         if m.family != FULL or m.semiring != desc or m.n != n:
             raise DomainError("need a uniform sequence of full matrices")
-    if desc.family in (CHAIN, BOOLEAN):
-        class_bound = chain_class_bound(n)
-        build = lambda xs: chain_congruence(desc, xs)
-    elif desc.family == TRUNC and desc.x == 1 and desc.y == 2:
-        class_bound = trunc12_class_bound(n)
-        build = lambda xs: trunc12_congruence(xs)
-    else:
-        raise DomainError("constructive swap finder supports chains and the [1,2] truncation")
-    required = kerperm_bound(class_bound, n)
+    total = seq_product(seq)
+    q = protecting_congruence(desc, list({v for row in total.entries for v in row}))
+    class_bound = trunc12_class_bound if desc.family == TRUNC else chain_class_bound
+    required = kerperm_bound(class_bound(n), n)
     if len(seq) < required:
         raise LengthTooShort(f"need at least {required} matrices, got {len(seq)}")
 
-    total = seq_product(seq)
-    protected = {v for row in total.entries for v in row}
-    q = build(list(protected))  # the builders sort and dedup internally
-
-    seen: dict[tuple, int] = {}
-    pair = None
-    for idx, m in enumerate(seq):
-        img = tuple(tuple(q.class_of(v) for v in row) for row in m.entries)
-        prev = seen.get(img)
-        if prev is not None:
-            pair = (prev, idx)
-            break
-        seen[img] = idx
+    pair = _first_repeat(tuple(tuple(q.class_of(v) for v in row) for row in m.entries) for m in seq)
     if pair is None:
         raise NoPairFound("pigeonhole violated: no equal-image pair (implementation bug)")
-    perm = transposition(len(seq), *pair)
-    if apply_perm_product(seq, perm) != total:
+    hit = _verified(seq, total, transposition(len(seq), *pair), "kernel_pair")
+    if hit is None:
         raise NoPairFound("equal-image swap failed to verify (implementation bug)")
-    return Found(perm, perm_kind(perm), "kernel_pair")
+    return hit
 
 
 # -- the triangular-pattern finder -------------------------------------------
@@ -444,7 +438,7 @@ def xperm_find(seq: Sequence[Matrix]) -> PermutationWitness:
     else:
         raise PatternMismatch("matrices are not uniformly of the triangular pattern")
 
-    perm = transposition(k, i, j)
-    if apply_perm_product(seq, perm) != seq_product(seq):
+    hit = _verified(seq, seq_product(seq), transposition(k, i, j), label)
+    if hit is None:
         raise CaseFallthrough(f"case {label!r} produced a non-preserving swap")
-    return Found(perm, perm_kind(perm), label)
+    return hit

@@ -28,6 +28,7 @@ from .semirings import (
     AxiomReport,
     FiniteSemiringTable,
     Semiring,
+    adjoin_zero,
     boolean,
     chain,
     nat_max,
@@ -67,15 +68,15 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
         if family == TROPICAL:
             desc = tropical()
         elif family == NAT_MAX:
-            return nat_max(adjoined_zero=adjoined)
+            desc = nat_max()
         elif family == NEG_NAT_MAX:
-            return neg_nat_max(adjoined_zero=adjoined)
+            desc = neg_nat_max()
         elif family == TRUNC:
             desc = trunc(Fraction(str(obj["x"])), Fraction(str(obj["y"])))
         elif family == TRUNC_NAT:
-            return _with_zero(trunc_nat(int(obj["k"])), adjoined)
+            desc = trunc_nat(int(obj["k"]))
         elif family == TRUNC_NEG_NAT:
-            return _with_zero(trunc_neg_nat(int(obj["k"])), adjoined)
+            desc = trunc_neg_nat(int(obj["k"]))
         elif family == CHAIN:
             desc = chain(int(obj["size"]))
         elif family == BOOLEAN:
@@ -83,19 +84,12 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
         elif family == TABLE:
             add = tuple(tuple(int(v) for v in row) for row in obj["add"])
             mul = tuple(tuple(int(v) for v in row) for row in obj["mul"])
-            tbl = FiniteSemiringTable(int(obj["size"]), add, mul, validate=validate_tables)
-            return table_semiring(tbl, adjoined)
+            desc = table_semiring(FiniteSemiringTable(int(obj["size"]), add, mul, validate=validate_tables))
         else:
             raise ParseError(f"unknown semiring family {family!r}")
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"malformed semiring object: {obj!r}") from exc
-    return desc
-
-
-def _with_zero(desc: Semiring, adjoined: bool) -> Semiring:
-    from dataclasses import replace
-
-    return replace(desc, adjoined_zero=True) if adjoined else desc
+    return adjoin_zero(desc) if adjoined else desc
 
 
 def matrix_to_json(m: Matrix) -> dict:

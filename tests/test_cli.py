@@ -2,7 +2,9 @@
 
 import json
 
+from bipermute import acceptance
 from bipermute.cli import main
+from bipermute.errors import NoPairFound
 from bipermute.sampling import DEFAULT_SEED
 
 
@@ -173,3 +175,15 @@ def test_negative_counts_exit_2(tmp_path, capsys):
     assert main(["axioms", "--inline", tropical, "--out", str(default)]) == 0
     assert main(["axioms", "--inline", tropical, "--trials", "0", "--out", str(zero)]) == 0
     assert zero.read_bytes() == default.read_bytes()
+
+
+def test_internal_errors_exit_3(monkeypatch, capsys):
+    def broken(seq):
+        raise NoPairFound("pigeonhole violated")
+
+    monkeypatch.setattr(acceptance, "kerperm_find_swap", broken)
+    capsys.readouterr()
+    assert main(["verify-all", "--item", "kerperm", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: pigeonhole violated\n"

@@ -233,6 +233,31 @@ def test_adjacent_fast_path_agrees_with_naive():
             assert isinstance(w, Found) and w.perm == naive and w.strategy == "adjacent"
 
 
+@pytest.mark.parametrize("adjacent", [True, False])
+def test_transposition_scan_agrees_with_naive(adjacent):
+    # the general rung scans gaps >= 2 behind the adjacent rung, gaps >= 1 alone
+    rng = derive_rng(13, "transposition-agree", str(adjacent))
+    first_gap = 2 if adjacent else 1
+    found = 0
+    for i in range(500):
+        desc = [chain(4), trunc(1, 2), boolean(), tropical()][i % 4]
+        k = rng.randint(2, 7)
+        seq = [sample_matrix(desc, 2, rng) for _ in range(k)]
+        target = seq_product(seq)
+        policy = SearchPolicy(try_equal_pair=False, try_adjacent=adjacent, random_trials=0, exhaustive_cap=0)
+        w = find_preserving_permutation(seq, policy)
+        if adjacent and isinstance(w, Found) and w.strategy == "adjacent":
+            continue
+        naive = next((transposition(k, i, j) for i in range(k) for j in range(i + first_gap, k)
+                      if apply_perm_product(seq, transposition(k, i, j)) == target), None)
+        if naive is None:
+            assert isinstance(w, NoneFoundUnderPolicy)
+        else:
+            found += 1
+            assert isinstance(w, Found) and w.perm == naive and w.strategy == "transposition"
+    assert found >= (10 if adjacent else 300)
+
+
 def test_found_witnesses_reverify():
     rng = derive_rng(6, "reverify")
     for i in range(100):

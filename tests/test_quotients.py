@@ -16,6 +16,7 @@ from bipermute.quotients import (
     kerperm_bound,
     kerperm_find_swap,
     min_entry_case_bound,
+    protecting_congruence,
     trunc12_class_bound,
     trunc12_congruence,
     truncperm_bound,
@@ -25,7 +26,7 @@ from bipermute.quotients import (
 )
 from bipermute.sampling import derive_rng, sample_matrix, sample_scalar
 from bipermute.scalars import NEG_INF, Atom
-from bipermute.semirings import Exhaustive, Sampled, chain, check_axioms, trunc
+from bipermute.semirings import Exhaustive, Sampled, chain, check_axioms, tropical, trunc
 
 
 def test_chain_congruence_layout():
@@ -159,6 +160,37 @@ def test_kerperm_find_swap_trunc12():
     assert apply_perm_product(seq, w.perm) == seq_product(seq)
     with pytest.raises(DomainError):
         kerperm_find_swap([sample_matrix(trunc(1, 3), 2, rng) for _ in range(10)])
+
+
+def _first_equal_images(q, seq):
+    images = []
+    for j, m in enumerate(seq):
+        images.append(q.kernel_image(m))
+        for i in range(j):
+            if images[i] == images[j]:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("desc, classes", [(chain(40), 9), (trunc(1, 2), 11)])
+def test_kerperm_find_swap_takes_the_first_equal_images(desc, classes):
+    rng = derive_rng(36, "kerperm-first", str(desc.family))
+    k = kerperm_bound(classes, 2)
+    for _ in range(3):
+        seq = [sample_matrix(desc, 2, rng) for _ in range(k)]
+        total = seq_product(seq)
+        q = protecting_congruence(desc, [v for row in total.entries for v in row])
+        w = kerperm_find_swap(seq)
+        assert w.strategy == "kernel_pair"
+        assert [t for t, v in enumerate(w.perm) if v != t] == list(_first_equal_images(q, seq))
+
+
+def test_protecting_congruence_dispatch():
+    assert protecting_congruence(chain(10), [Atom(3), Atom(7)]) == chain_congruence(chain(10), [Atom(3), Atom(7)])
+    assert protecting_congruence(trunc(1, 2), [F(3, 2)]) == trunc12_congruence([F(3, 2)])
+    for desc in (trunc(1, 3), tropical()):
+        with pytest.raises(DomainError):
+            protecting_congruence(desc, [])
 
 
 # -- the pattern finder ---------------------------------------------------------

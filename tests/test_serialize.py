@@ -11,10 +11,14 @@ from bipermute.quotients import chain_congruence, trunc12_congruence
 from bipermute.sampling import derive_rng, sample_matrix
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom, scalar_from_json, scalar_to_json
 from bipermute.semirings import (
+    adjoin_zero,
     boolean,
     chain,
     nat_max,
+    neg_nat_max,
     noidentity_semiring,
+    noidentity_table,
+    table_semiring,
     tropical,
     trunc,
     trunc_nat,
@@ -60,10 +64,17 @@ def test_semiring_roundtrip():
         chain(7),
         boolean(),
         noidentity_semiring(),
+        neg_nat_max(adjoined_zero=True),
+        adjoin_zero(trunc_nat(4)),
+        table_semiring(noidentity_table(), adjoined_zero=True),
     ]
     for desc in descs:
         obj = semiring_to_json(desc)
         assert semiring_from_json(obj) == desc
+    # a family that has its own zero gets no second one
+    assert semiring_from_json({"family": "trunc_neg_nat", "k": 3, "adjoined_zero": True}) == trunc_neg_nat(3)
+    assert semiring_from_json({"family": "trunc_nat", "k": 1, "adjoined_zero": True}) == trunc_nat(1)
+    assert semiring_from_json({"family": "chain", "size": 3, "adjoined_zero": True}) == chain(3)
     obj = semiring_to_json(trunc(F(1, 2), F(9, 4)))
     assert obj["x"] == "1/2" and obj["y"] == "9/4"
     with pytest.raises(ParseError):
