@@ -41,6 +41,7 @@ from .quotients import (
     kerperm_bound,
     kerperm_find_swap,
     min_entry_case_bound,
+    protecting_congruence,
     trunc12_congruence,
     truncperm_bound,
     verify_congruence,

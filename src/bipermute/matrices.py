@@ -22,7 +22,7 @@ from .errors import (
     SemiringMismatch,
 )
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
-from .semirings import Semiring
+from .semirings import Semiring, same_semiring
 
 FULL = "full"
 UT = "ut"
@@ -84,7 +84,7 @@ class Matrix:
         return (
             self.n == other.n
             and self.family == other.family
-            and (self.semiring is other.semiring or self.semiring == other.semiring)
+            and same_semiring(self.semiring, other.semiring)
             and self.entries == other.entries
         )
 
@@ -118,8 +118,7 @@ class Matrix:
 def _check_pair(a: Matrix, b: Matrix) -> None:
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n}")
-    # identity first: the dataclass != builds two field tuples per call
-    if a.semiring is not b.semiring and a.semiring != b.semiring:
+    if not same_semiring(a.semiring, b.semiring):
         raise SemiringMismatch("matrices live over different semirings")
     if a.family != b.family:
         raise SemiringMismatch(f"mixed matrix families {a.family!r} and {b.family!r}")
@@ -233,7 +232,7 @@ def pad_sequence(seq: Sequence[Matrix], n: int) -> list[Matrix]:
     for mat in seq:
         if mat.family != FULL:
             raise DomainError("padding is defined for full matrices")
-        if mat.n != m or mat.semiring != desc:
+        if mat.n != m or not same_semiring(mat.semiring, desc):
             raise SemiringMismatch("padding needs a uniform sequence")
     if n <= m:
         raise BadDimension(f"target dimension {n} must exceed {m}")

@@ -191,17 +191,20 @@ def _first_repeat(keys: Iterable) -> Optional[tuple[int, int]]:
 def _swaps(seq, target, prefixes, suffixes, first_gap: int, last_gap: int, strategy: str):
     """Transpositions (i, j) with first_gap <= j - i <= last_gap that keep the product.
 
-    The middle segment seq[i+1:j] is streamed as one running product per i.
+    The middle segment seq[i+1:j] is streamed as one running product per i,
+    extended only while a later j still needs it.
     """
     k = len(seq)
     for i in range(k - 1):
         mid = None
-        for j in range(i + 1, min(i + last_gap + 1, k)):
+        stop = min(i + last_gap + 1, k)
+        for j in range(i + 1, stop):
             if j - i >= first_gap:
                 tail = suffixes[j + 1] if j + 1 < k else None
                 if _combine(prefixes[i], seq[j], mid, seq[i], tail) == target:
                     yield strategy, transposition(k, i, j)
-            mid = seq[j] if mid is None else mat_mul(mid, seq[j])
+            if j + 1 < stop:
+                mid = seq[j] if mid is None else mat_mul(mid, seq[j])
 
 
 def _candidates(seq: Sequence[Matrix], target: Matrix, policy: SearchPolicy):

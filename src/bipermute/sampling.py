@@ -4,6 +4,11 @@ Reproducibility discipline: every independent random stream is a
 ``random.Random`` seeded through :func:`derive_rng` from a root seed plus a
 tuple of string labels, hashed with SHA-256.  Two runs with the same root
 seed and labels produce identical streams regardless of call order.
+
+A draw is one generator call plus integer arithmetic: each descriptor
+computes its truncation grids (integer numerators over one denominator) and
+its atoms once and keeps them.  Draws keep the values, the types and the
+generator consumption of the plain ``Fraction`` formulas stated below.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import NEG_INF, Atom, Scalar
+from .matrices import FULL, UNI, UT, Matrix
+from .scalars import ADJOINED_ID, NEG_INF, Scalar
 from .semirings import (
     BOOLEAN,
     CHAIN,
@@ -39,12 +45,15 @@ def derive_rng(seed: int, *labels: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _ratio(num: int, den: int) -> Scalar:
+    """num/den as an int when integral, else as a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def sample_trunc_value(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
-    """A grid point x + t*(y-x)/N of the interval [x, y], exact."""
-    steps = max(1, -int(-(desc.y - desc.x) * denom // 1))  # ceil((y-x)*d)
-    t = rng.randint(0, steps)
-    value = desc.x + Fraction(t, steps) * (desc.y - desc.x)
-    return int(value) if value.denominator == 1 else value
+    """The grid point x + t*(y-x)/steps of [x, y], steps = ceil((y-x)*denom), exact."""
+    steps, base, step, den = desc.trunc_grid(denom)
+    return _ratio(base + rng.randint(0, steps) * step, den)
 
 
 def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
@@ -62,8 +71,7 @@ def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_
     if f == TROPICAL:
         if rng.randrange(SENTINEL_WEIGHT) == 0:
             return NEG_INF
-        value = Fraction(rng.randint(-256, 256), rng.choice((1, 1, 2, 3, 4, 8, 64)))
-        return int(value) if value.denominator == 1 else value
+        return _ratio(rng.randint(-256, 256), rng.choice((1, 1, 2, 3, 4, 8, 64)))
     if f == NAT_MAX:
         return rng.randint(1, 40)
     if f == NEG_NAT_MAX:
@@ -73,7 +81,7 @@ def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_
     if f == TRUNC_NEG_NAT:
         return -rng.randint(1, desc.k)
     if f in (CHAIN, BOOLEAN, TABLE):
-        return Atom(rng.randrange(desc.size))
+        return desc._atoms[rng.randrange(desc.size)]
     raise DomainError(f"cannot sample from family {f!r}")
 
 
@@ -87,10 +95,7 @@ def sample_proper_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAUL
 
 
 def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "full",
-                  denom: int = DEFAULT_GRID_DENOMINATOR):
-    from .matrices import FULL, UNI, UT, Matrix
-    from .scalars import ADJOINED_ID
-
+                  denom: int = DEFAULT_GRID_DENOMINATOR) -> Matrix:
     if family == FULL:
         rows = [[sample_scalar(desc, rng, denom) for _ in range(n)] for _ in range(n)]
         return Matrix.make(desc, FULL, rows)

@@ -195,6 +195,28 @@ def test_exhaustive_search_product_counts(monkeypatch, m, products):
     assert calls < 10_000
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_transposition_scan_product_count(monkeypatch, k):
+    # Each candidate (i, j) multiplies its present parts: prefix (i > 0),
+    # seq[j], middle (j > i+1), seq[i], suffix (j < k-1).  The running
+    # middle is extended for j = i+2..k-2 only, never past the last j.
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    expected = sum((i > 0) + 1 + (j > i + 1) + (j < k - 1) for i, j in pairs)
+    expected += (k - 3) * (k - 2) // 2
+    assert expected == {6: 51, 8: 106}[k]
+    calls = 0
+
+    def counting_mat_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
+    policy = SearchPolicy(exhaustive_cap=0, try_equal_pair=False, try_adjacent=False)
+    assert isinstance(find_preserving_permutation(witness_U3_Nmax(k), policy), NoneFoundUnderPolicy)
+    assert calls == expected
+
+
 def test_exhaustive_search_frees_its_memo_on_return():
     seq = witness_U3_Nmax(8)
     target = seq_product(seq)

@@ -193,6 +193,12 @@ def test_protecting_congruence_dispatch():
             protecting_congruence(desc, [])
 
 
+def test_protecting_congruence_is_exported_from_the_package():
+    import bipermute
+
+    assert bipermute.protecting_congruence is protecting_congruence
+
+
 # -- the pattern finder ---------------------------------------------------------
 
 
