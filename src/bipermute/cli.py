@@ -124,10 +124,14 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def _parse_scalar_arg(text: str):
+    """A scalar in its wire format, or a bare rational such as 3/2 or 1.5."""
     try:
-        return scalar_from_json(json.loads(text))
-    except (json.JSONDecodeError, ParseError):
-        return scalar_from_json(text)
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = text
+    if isinstance(obj, float):  # a decimal: parse its text exactly
+        obj = text
+    return scalar_from_json(obj)
 
 
 # -- subcommand implementations ----------------------------------------------

@@ -3,8 +3,15 @@
 ``full`` matrices have arbitrary carrier entries; ``ut`` (upper triangular)
 matrices carry the zero element below the diagonal; ``uni`` (unitriangular)
 matrices additionally carry the adjoined identity sentinel on the diagonal.
-Unitriangular products only ever need the defined partial sums 1+1 and 1+0,
-so multiplication is total on all three families.
+Unitriangular products only ever need the partial sums 1+1 and 1+0, so
+multiplication is total on all three families.  The scalar addition defines
+1+0 when the zero is the ``NEG_INF`` sentinel; when it is an ordinary carrier
+element (``Atom(0)`` of a chain or of boolean, ``-k`` of trunc_neg_nat(k),
+``1`` of trunc_nat(1), a table's zero), ``uni`` products drop zero terms
+before adding, so 1+0 = 1 there too.
+
+Every product runs one scalar loop, ``_row_times`` (a row vector times a
+matrix); ``mat_mul`` maps it over the rows of its left factor.
 
 Matrices are immutable and hashable; products of same-family matrices stay
 in the family, which tests assert but hot paths do not re-check.
@@ -12,7 +19,7 @@ in the family, which tests assert but hot paths do not re-check.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     BadDimension,
@@ -124,27 +131,52 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
         raise SemiringMismatch(f"mixed matrix families {a.family!r} and {b.family!r}")
 
 
+def _product_add(semiring: Semiring, family: str) -> Callable[[Scalar, Scalar], Scalar]:
+    """The addition that products of ``family`` matrices sum their terms with.
+
+    A unitriangular diagonal entry is 1 plus zero terms.  ``_add`` defines
+    1 + NEG_INF only, so over a carrier whose zero is an ordinary element the
+    zero terms are dropped first (the zero is the additive identity).
+    """
+    add = semiring._add
+    if family != UNI or semiring.has_neg_inf:
+        return add
+    zero = semiring.zero_element()
+
+    def uni_add(a, b):
+        if a == zero:
+            return b
+        if b == zero:
+            return a
+        return add(a, b)
+
+    return uni_add
+
+
+def _row_times(add, mul, row: tuple, cols: tuple) -> tuple:
+    """The row vector ``row`` times the matrix with columns ``cols``.
+
+    Entry j is mul(row[0], col_j[0]) + mul(row[1], col_j[1]) + ..., summed
+    left to right; every matrix product is this loop.
+    """
+    first = row[0]
+    rest = range(1, len(row))
+    out = []
+    for col in cols:
+        acc = mul(first, col[0])
+        for k in rest:
+            acc = add(acc, mul(row[k], col[k]))
+        out.append(acc)
+    return tuple(out)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with addition and multiplication induced entrywise."""
     _check_pair(a, b)
-    add = a.semiring._add
+    add = _product_add(a.semiring, a.family)
     mul = a.semiring._mul
-    n = a.n
-    ae = a.entries
-    be = b.entries
-    cols = tuple(zip(*be))
-    rows = []
-    for i in range(n):
-        arow = ae[i]
-        out = []
-        for j in range(n):
-            bcol = cols[j]
-            acc = mul(arow[0], bcol[0])
-            for k in range(1, n):
-                acc = add(acc, mul(arow[k], bcol[k]))
-            out.append(acc)
-        rows.append(tuple(out))
-    return Matrix(a.semiring, a.family, tuple(rows))
+    cols = tuple(zip(*b.entries))
+    return Matrix(a.semiring, a.family, tuple([_row_times(add, mul, row, cols) for row in a.entries]))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

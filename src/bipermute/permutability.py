@@ -27,16 +27,16 @@ from .errors import (
     LengthMismatch,
     ShapeMismatch,
 )
-from .matrices import FULL, Matrix, mat_mul, prefix_suffix_products, seq_product
+from .matrices import FULL, Matrix, _product_add, _row_times, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 
 EXHAUSTIVE_CAP_DEFAULT = 8
 # The general transposition rung takes O(k^2) products; longer sequences skip it.
 TRANSPOSITION_SCAN_MAX_LENGTH = 2048
 # The exhaustive sweep memoizes dead states only while at least this many
-# matrices remain.  On 30 random tropical 3x3 7-tuples with integer entries
-# that kept at most 1,095 keys (0.69 MiB tracemalloc peak); a limit of 2
-# kept 3,614 keys (2.16 MiB).
+# matrices remain, and runs on row vectors below that.  On 30 random tropical
+# 3x3 7-tuples with integer entries that kept at most 1,095 keys (0.69 MiB
+# tracemalloc peak); a limit of 2 kept 3,614 keys (2.16 MiB).
 _DEAD_MIN_REMAINING = 3
 
 Perm = tuple[int, ...]
@@ -116,7 +116,7 @@ def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
 
     Depth-first enumeration shares prefix products between permutations with
     a common prefix; without pruning that is sum_{d=2..k} k!/(k-d)! (about
-    e * k!) matrix products.  Whether some completion of a prefix reaches the
+    e * k!) products.  Whether some completion of a prefix reaches the
     target depends only on the set of indices used and the prefix product.
     Each state (used-index bitmask, prefix entries) is recorded when its
     subtree is entered.  The first hit ends the search, so a later child that
@@ -130,33 +130,75 @@ def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
     same state.  States are kept only while at least ``_DEAD_MIN_REMAINING``
     matrices remain, which bounds the memo's memory (the states near the
     leaves are the most numerous and the cheapest to search again).
+
+    Below that horizon, once at most ``_DEAD_MIN_REMAINING`` matrices
+    remain and nothing more is recorded, the sweep carries row 0 of the
+    prefix product only (``_row_sweep``); for k <= ``_DEAD_MIN_REMAINING``
+    that is from the root.  Without pruning, depths d = 2..k-3 then cost
+    k!/(k-d)! matrix products each (n^3 scalar products apiece), and depths
+    max(2, k-2)..k cost k!/(k-d)! row products each (n^2 apiece), plus at
+    most ``_DEAD_MIN_REMAINING`` matrix products for each leaf whose row 0
+    matches the target's.  Row 0 of P*A*B is (row 0 of P)*A*B, so a leaf
+    whose row 0 misses the target's misses it in full; a leaf whose row 0
+    matches is multiplied out and compared whole.  The order of the sweep
+    and the recorded states stay the same, so the first hit does too.
     """
-    return _sweep(seq, target, [], set(), None, 0, True)
+    desc = target.semiring
+    cols = [tuple(zip(*m.entries)) for m in seq]
+    tail = (_product_add(desc, target.family), desc._mul, cols, target.entries[0])
+    return _sweep(seq, target, tail, [], set(), None, 0, True)
 
 
-def _sweep(seq: Sequence[Matrix], target: Matrix, chosen: list[int], dead: set[tuple[int, tuple]],
+def _sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[int], dead: set[tuple[int, tuple]],
            prefix: Optional[Matrix], mask: int, on_identity: bool) -> Optional[Perm]:
     """The subtree of ``_exhaustive_search`` below the prefix ``chosen``."""
     k = len(seq)
     depth = len(chosen)
-    memo = k - depth - 1 >= _DEAD_MIN_REMAINING
+    if k - depth <= _DEAD_MIN_REMAINING:
+        row = None if prefix is None else prefix.entries[0]
+        return _row_sweep(seq, target, tail, chosen, depth, prefix, row, mask, on_identity)
     for idx in range(k):
         bit = 1 << idx
         if mask & bit:
             continue
         prod = seq[idx] if prefix is None else mat_mul(prefix, seq[idx])
         child_identity = on_identity and idx == depth
-        if depth + 1 == k:
-            if not child_identity and prod == target:
-                return (*chosen, idx)
-            continue
-        if memo and not child_identity:
+        if not child_identity:
             key = (mask | bit, prod.entries)
             if key in dead:
                 continue
             dead.add(key)
         chosen.append(idx)
-        hit = _sweep(seq, target, chosen, dead, prod, mask | bit, child_identity)
+        hit = _sweep(seq, target, tail, chosen, dead, prod, mask | bit, child_identity)
+        chosen.pop()
+        if hit is not None:
+            return hit
+    return None
+
+
+def _row_sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[int], start: int,
+               prefix: Optional[Matrix], row: Optional[tuple], mask: int, on_identity: bool) -> Optional[Perm]:
+    """The memo-free bottom of ``_sweep``: ``row`` is row 0 of the prefix product.
+
+    ``prefix`` is the full product of ``chosen[:start]``; a leaf whose row 0
+    matches the target's is decided by multiplying the rest onto it.
+    """
+    add, mul, cols, goal = tail
+    k = len(seq)
+    depth = len(chosen)
+    for idx in range(k):
+        bit = 1 << idx
+        if mask & bit:
+            continue
+        child = seq[idx].entries[0] if row is None else _row_times(add, mul, row, cols[idx])
+        child_identity = on_identity and idx == depth
+        if depth + 1 == k:
+            if not child_identity and child == goal:
+                if _combine(prefix, *(seq[i] for i in chosen[start:]), seq[idx]) == target:
+                    return (*chosen, idx)
+            continue
+        chosen.append(idx)
+        hit = _row_sweep(seq, target, tail, chosen, start, prefix, child, mask | bit, child_identity)
         chosen.pop()
         if hit is not None:
             return hit

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -148,6 +148,10 @@ class Semiring:
     size: Optional[int] = None
     table: Optional[FiniteSemiringTable] = None
     adjoined_zero: bool = False
+
+    def __getstate__(self) -> dict:
+        """The fields only: the cached closures cannot be pickled and rebuild on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- carrier structure -------------------------------------------------
 

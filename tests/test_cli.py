@@ -122,6 +122,38 @@ def test_classify_element(tmp_path):
     assert load(out)["order"]["order"] == 1
 
 
+def test_classify_element_reports_the_scalar_error(tmp_path, capsys):
+    chain4 = '{"family":"chain","size":4}'
+    capsys.readouterr()
+    assert main(["classify-element", "--inline", chain4, '{"atom": "x"}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad atom encoding: {'atom': 'x'}\n"
+    # bare rationals, decimals and integers still parse
+    out = tmp_path / "c.json"
+    trunc13 = '{"family":"trunc","x":"1","y":"3"}'
+    for text in ("1.5", "3/2", '"3/2"'):
+        assert main(["classify-element", "--inline", trunc13, text, "--out", str(out)]) == 0
+        assert load(out)["element"] == "3/2"
+    assert main(["classify-element", "--inline", '{"family":"nat_max"}', "5", "--out", str(out)]) == 0
+    assert load(out)["element"] == 5
+
+
+def test_product_of_uni_matrices_over_a_genuine_zero(tmp_path):
+    chain4 = {"family": "chain", "size": 4}
+    zero, top = {"atom": 0}, {"atom": 3}
+    seq = [
+        {"n": 2, "family": "uni", "semiring": chain4, "entries": [["id", {"atom": a}], [zero, "id"]]}
+        for a in (1, 2, 0)
+    ]
+    out = tmp_path / "p.json"
+    assert main(["product", "--input", write(tmp_path / "uni.json", seq), "--out", str(out)]) == 0
+    assert load(out)["product"]["entries"] == [["id", {"atom": 2}], [zero, "id"]]
+    seq[2]["entries"][0][1] = top
+    assert main(["permute", "--input", write(tmp_path / "uni.json", seq), "--out", str(out)]) == 0
+    assert load(out)["kind"] == "found"
+
+
 def test_verify_all_fast_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["verify-all", "--trials", "3", "--item", "noidentity", "--item", "axioms",

@@ -1,5 +1,8 @@
 """Matrix families, products, prefix/suffix arrays, projection and padding."""
 
+import pickle
+from functools import reduce
+
 import pytest
 
 from bipermute.errors import (
@@ -14,6 +17,8 @@ from bipermute.matrices import (
     UNI,
     UT,
     Matrix,
+    _row_times,
+    _product_add,
     mat_add,
     mat_mul,
     pad_sequence,
@@ -24,7 +29,20 @@ from bipermute.matrices import (
 )
 from bipermute.sampling import derive_rng, sample_matrix
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom
-from bipermute.semirings import boolean, chain, nat_max, tropical, trunc
+from bipermute.semirings import (
+    FiniteSemiringTable,
+    adjoin_zero,
+    boolean,
+    chain,
+    nat_max,
+    neg_nat_max,
+    noidentity_semiring,
+    table_semiring,
+    tropical,
+    trunc,
+    trunc_nat,
+    trunc_neg_nat,
+)
 
 
 def tmat(rows, family=FULL):
@@ -117,6 +135,94 @@ def test_uni_products_never_hit_undefined_sums():
     seq = [sample_matrix(desc, 4, rng, UNI) for _ in range(30)]
     total = seq_product(seq)  # would raise UndefinedPartialSum on a violation
     assert total.is_member()
+
+
+def _max_min_table():
+    """A 3-chain as an explicit table: zero index 0, identity index 2."""
+    rng3 = range(3)
+    return table_semiring(FiniteSemiringTable(
+        3, tuple(tuple(max(i, j) for j in rng3) for i in rng3), tuple(tuple(min(i, j) for j in rng3) for i in rng3)))
+
+
+# every carrier family, each with the matrix families it admits; the zero is
+# NEG_INF (genuine or adjoined) or an ordinary element (chains, boolean,
+# trunc_nat(1), trunc_neg_nat, a table with a zero)
+_PRODUCT_CASES = {
+    "tropical": (tropical(), (FULL, UT, UNI)),
+    "nat_max": (nat_max(), (FULL,)),
+    "nat_max_zero": (nat_max(adjoined_zero=True), (UT, UNI)),
+    "neg_nat_max_zero": (neg_nat_max(adjoined_zero=True), (FULL, UNI)),
+    "trunc13": (trunc(1, 3), (FULL, UT, UNI)),
+    "trunc_nat4": (trunc_nat(4), (FULL,)),
+    "trunc_nat4_zero": (adjoin_zero(trunc_nat(4)), (UNI,)),
+    "trunc_nat1": (trunc_nat(1), (FULL, UT, UNI)),
+    "trunc_neg_nat3": (trunc_neg_nat(3), (FULL, UT, UNI)),
+    "chain4": (chain(4), (FULL, UT, UNI)),
+    "boolean": (boolean(), (FULL, UT, UNI)),
+    "noidentity": (noidentity_semiring(), (FULL,)),
+    "noidentity_zero": (adjoin_zero(noidentity_semiring()), (UNI,)),
+    "max_min_table": (_max_min_table(), (FULL, UT, UNI)),
+}
+
+
+def _reference_product(a, b):
+    """The textbook sum over l of a[i][l] * b[l][j], zero terms left out."""
+    desc = a.semiring
+    zero = desc.zero_element()
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [desc._mul(a.entries[i][m], b.entries[m][j]) for m in range(n)]
+            proper = [t for t in terms if t != zero]
+            row.append(reduce(desc._add, proper) if proper else zero)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("case", list(_PRODUCT_CASES))
+def test_row_times_is_row_zero_of_the_product(case):
+    desc, families = _PRODUCT_CASES[case]
+    rng = derive_rng(21, "row-times", case)
+    mul = desc._mul
+    for family in families:
+        add = _product_add(desc, family)
+        for n in (1, 2, 3):
+            for _ in range(8):
+                seq = [sample_matrix(desc, n, rng, family) for _ in range(4)]
+                assert mat_mul(seq[0], seq[1]).entries == _reference_product(seq[0], seq[1])
+                product = seq[0].entries
+                row = seq[0].entries[0]
+                for m in seq[1:]:
+                    product = _reference_product(Matrix(desc, family, product), m)
+                    row = _row_times(add, mul, row, tuple(zip(*m.entries)))
+                assert row == product[0] == seq_product(seq).entries[0]
+
+
+@pytest.mark.parametrize("case", ["chain4", "boolean", "trunc_nat1", "trunc_neg_nat3", "max_min_table"])
+def test_uni_products_over_a_genuine_zero(case):
+    """The zero is an ordinary element here, and 1 + 0 = 1 all the same."""
+    desc = _PRODUCT_CASES[case][0]
+    rng = derive_rng(22, "uni-genuine-zero", case)
+    genuine = desc.identity_element() is not None
+    for n in (2, 3, 4):
+        for _ in range(10):
+            seq = [sample_matrix(desc, n, rng, UNI) for _ in range(3)]
+            total = seq_product(seq)
+            assert total.is_member()
+            if genuine:
+                assert unitriangular_to_genuine(total) == seq_product([unitriangular_to_genuine(m) for m in seq])
+
+
+def test_matrices_pickle_after_products():
+    rng = derive_rng(23, "pickle")
+    for desc in (tropical(), trunc(1, 3), chain(4)):
+        a, b = sample_matrix(desc, 3, rng), sample_matrix(desc, 3, rng)
+        ab = mat_mul(a, b)
+        hash(ab)
+        back = pickle.loads(pickle.dumps(ab))
+        assert back == ab and mat_mul(back, back) == mat_mul(ab, ab)
 
 
 def test_seq_product_trivia():

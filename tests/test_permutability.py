@@ -1,7 +1,7 @@
 """Permutation products, the witness search ladder, and path assignments."""
 
 import gc
-import tracemalloc
+import weakref
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -10,7 +10,7 @@ import pytest
 from bipermute import permutability
 from bipermute.constructions import witness_M3_trunc, witness_U3_Nmax, witness_U3_negNmax
 from bipermute.errors import CapExceeded, DomainError, LengthMismatch
-from bipermute.matrices import FULL, UNI, Matrix, mat_mul, seq_product
+from bipermute.matrices import FULL, UNI, Matrix, _row_times, mat_mul, seq_product
 from bipermute.permutability import (
     _exhaustive_search,
     Found,
@@ -161,12 +161,28 @@ def _differential_cases():
             seq = _rigid(family, k - 1)
             seq = [_weak_member(seq, rng)] + seq
         cases.append(seq)
+    for i in range(90):
+        kind, k = i % 3, 2 + (i // 3) % 5
+        if kind == 0:  # k <= 3 (or n = 1) runs the row sweep from the root
+            seq = [_small_tropical(1 + (i // 15) % 3, rng) for _ in range(min(k, 3))]
+        elif kind == 1:
+            seq = [sample_matrix(chain(4), 3, rng, UNI) for _ in range(k)]
+        else:
+            seq = [_row_zero_decoy(rng) for _ in range(k)]
+        cases.append(seq)
     return cases
 
 
+def _row_zero_decoy(rng):
+    # row 0 of every product of these is (0, -inf), so each ordering matches
+    # the target's row 0 and only the full comparison tells them apart
+    return Matrix.make(tropical(), FULL, [[0, NEG_INF], [rng.randrange(4), rng.randrange(3)]])
+
+
 def test_exhaustive_search_agrees_with_brute_force():
-    """The dead-state memo prunes only subtrees without a witness, so the
-    sweep returns exactly the oracle's lexicographically first hit."""
+    """The dead-state memo prunes only subtrees without a witness, and the
+    row sweep below it rejects only leaves that differ from the target, so
+    the sweep returns exactly the oracle's lexicographically first hit."""
     found = identity_only = 0
     for seq in _differential_cases():
         expected = _lex_first_preserving(seq)
@@ -178,21 +194,28 @@ def test_exhaustive_search_agrees_with_brute_force():
     assert found >= 150 and identity_only >= 30
 
 
-@pytest.mark.parametrize("m, products", [(6, 1260), (7, 3596), (8, 8754)])
-def test_exhaustive_search_product_counts(monkeypatch, m, products):
-    # the plain depth-first sweep takes 1,950 / 13,692 / 109,592 products here
-    calls = 0
+@pytest.mark.parametrize("m, products, row_products", [(6, 150, 1110), (7, 776, 2820), (8, 3024, 5730)])
+def test_exhaustive_search_product_counts(monkeypatch, m, products, row_products):
+    # the plain depth-first sweep takes 1,950 / 13,692 / 109,592 matrix
+    # products here; each pair sums to the 1,260 / 3,596 / 8,754 matrix
+    # products the memoized sweep takes without its row-vector bottom
+    calls = rows = 0
 
     def counting_mat_mul(a, b):
         nonlocal calls
         calls += 1
         return mat_mul(a, b)
 
+    def counting_row_times(add, mul, row, cols):
+        nonlocal rows
+        rows += 1
+        return _row_times(add, mul, row, cols)
+
     monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(permutability, "_row_times", counting_row_times)
     seq = witness_U3_Nmax(m)
     assert _exhaustive_search(seq, seq_product(seq)) is None
-    assert calls == products
-    assert calls < 10_000
+    assert (calls, rows) == (products, row_products)
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -217,21 +240,34 @@ def test_transposition_scan_product_count(monkeypatch, k):
     assert calls == expected
 
 
-def test_exhaustive_search_frees_its_memo_on_return():
+def test_exhaustive_search_frees_its_memo_on_return(monkeypatch):
+    """The memo itself dies when the search returns, before any collection.
+
+    Bytes still held after the return are no measure of this: the
+    interpreter keeps freed tuples on free lists.  So the root call's memo is
+    watched through a weak reference, with the cyclic collector off.
+    """
+    sweep = permutability._sweep
+    memos = []
+
+    def watching_sweep(seq, target, tail, chosen, dead, *rest):
+        hit = sweep(seq, target, tail, chosen, dead, *rest)
+        if not chosen:  # the root call
+            memos.append((len(dead), weakref.ref(dead)))
+        return hit
+
+    monkeypatch.setattr(permutability, "_sweep", watching_sweep)
     seq = witness_U3_Nmax(8)
-    target = seq_product(seq)
-    _exhaustive_search(seq, target)  # fills the interpreter's tuple free lists
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the memo must not wait for the cyclic collector
-    tracemalloc.start()
     try:
-        assert _exhaustive_search(seq, target) is None
-        current, peak = tracemalloc.get_traced_memory()
+        assert _exhaustive_search(seq, seq_product(seq)) is None
+        [(states, memo)] = memos
+        assert states > 500
+        assert memo() is None
     finally:
-        tracemalloc.stop()
         if gc_was_enabled:
             gc.enable()
-    assert current < peak / 10
 
 
 def test_adjacent_fast_path_agrees_with_naive():

@@ -1,5 +1,6 @@
 """Semiring arithmetic, element order, monogenic classes, axiom checking."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -114,6 +115,26 @@ def test_derived_order_matches_reference(case):
             leq(a, ADJOINED_ID)
         with pytest.raises(UndefinedPartialSum):
             leq(ADJOINED_ID, a)
+
+
+@pytest.mark.parametrize("case", list(_ORDER_CASES))
+def test_descriptors_pickle_after_use(case):
+    """The cached operations stay out of the pickled state and rebuild on use."""
+    make, sample = _ORDER_CASES[case]
+    desc = make()
+    if sample is None:
+        sample = [Atom(i) for i in range(desc.size)]
+    a, b = sample[0], sample[-1]
+    expected = (desc._add(a, b), desc._mul(a, b), desc._leq(a, b), desc._leq(b, a))
+    if desc.family == "trunc":
+        grid = desc.trunc_grid(4)
+    back = pickle.loads(pickle.dumps(desc))
+    assert back == desc and back is not desc
+    assert (back._add(a, b), back._mul(a, b), back._leq(a, b), back._leq(b, a)) == expected
+    if desc.family == "trunc":
+        assert back.trunc_grid(4) == grid
+    # and again once the copy has computed
+    assert pickle.loads(pickle.dumps(back)) == desc
 
 
 def test_truncated_products_saturate_at_the_top():
