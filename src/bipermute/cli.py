@@ -98,6 +98,10 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, or no permission
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -117,8 +121,11 @@ def _load_semiring(args, validate_tables: bool = True):
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -249,8 +256,7 @@ def _cmd_witness(args) -> int:
         params = {"m": m, "z": str(Fraction(z)), "eps": str(Fraction(eps))}
     elif family == "bicyclic_rho":
         if args.input:
-            pairs = _load_json(args.input)
-            elements = [BicyclicElement(int(i), int(j)) for i, j in pairs]
+            elements = [BicyclicElement(i, j) for i, j in _bicyclic_pairs(_load_json(args.input))]
         else:
             m = args.m or 6
             rng = derive_rng(seed, "witness", "bicyclic_rho")
@@ -275,6 +281,15 @@ def _cmd_witness(args) -> int:
         args.out,
     )
     return 0
+
+
+def _bicyclic_pairs(obj) -> list:
+    """The input of ``witness bicyclic_rho``: a non-empty list of [i, j] integer pairs."""
+    if isinstance(obj, list) and obj and all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in obj
+    ):
+        return obj
+    raise ParseError("bicyclic_rho input must be a non-empty list of [i, j] integer pairs")
 
 
 def _require_m(args) -> int:

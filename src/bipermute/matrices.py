@@ -3,15 +3,14 @@
 ``full`` matrices have arbitrary carrier entries; ``ut`` (upper triangular)
 matrices carry the zero element below the diagonal; ``uni`` (unitriangular)
 matrices additionally carry the adjoined identity sentinel on the diagonal.
-Unitriangular products only ever need the partial sums 1+1 and 1+0, so
-multiplication is total on all three families.  The scalar addition defines
-1+0 when the zero is the ``NEG_INF`` sentinel; when it is an ordinary carrier
-element (``Atom(0)`` of a chain or of boolean, ``-k`` of trunc_neg_nat(k),
-``1`` of trunc_nat(1), a table's zero), ``uni`` products drop zero terms
-before adding, so 1+0 = 1 there too.
 
-Every product runs one scalar loop, ``_row_times`` (a row vector times a
-matrix); ``mat_mul`` maps it over the rows of its left factor.
+The scalar operations never see that sentinel: a ``uni`` product keeps the
+left factor's zeros and identities, and above the diagonal entry (i, j) is
+b_ij + sum_{i<l<j} a_il*b_lj + a_ij, the textbook terms that are neither zero
+nor a product with the identity, whatever element the zero is.
+
+``_row_kernel`` picks each family's row loop (a row vector times a matrix);
+``mat_mul`` maps it over the rows of its left factor.
 
 Matrices are immutable and hashable; products of same-family matrices stay
 in the family, which tests assert but hot paths do not re-check.
@@ -19,6 +18,7 @@ in the family, which tests assert but hot paths do not re-check.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     SemiringMismatch,
 )
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
-from .semirings import Semiring, same_semiring
+from .semirings import Semiring, _with_adjoined_id, same_semiring
 
 FULL = "full"
 UT = "ut"
@@ -131,33 +131,11 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
         raise SemiringMismatch(f"mixed matrix families {a.family!r} and {b.family!r}")
 
 
-def _product_add(semiring: Semiring, family: str) -> Callable[[Scalar, Scalar], Scalar]:
-    """The addition that products of ``family`` matrices sum their terms with.
-
-    A unitriangular diagonal entry is 1 plus zero terms.  ``_add`` defines
-    1 + NEG_INF only, so over a carrier whose zero is an ordinary element the
-    zero terms are dropped first (the zero is the additive identity).
-    """
-    add = semiring._add
-    if family != UNI or semiring.has_neg_inf:
-        return add
-    zero = semiring.zero_element()
-
-    def uni_add(a, b):
-        if a == zero:
-            return b
-        if b == zero:
-            return a
-        return add(a, b)
-
-    return uni_add
-
-
-def _row_times(add, mul, row: tuple, cols: tuple) -> tuple:
-    """The row vector ``row`` times the matrix with columns ``cols``.
+def _row_times(add, mul, i: int, row: tuple, cols: tuple) -> tuple:
+    """``row`` times the matrix with columns ``cols`` (``i`` is unused).
 
     Entry j is mul(row[0], col_j[0]) + mul(row[1], col_j[1]) + ..., summed
-    left to right; every matrix product is this loop.
+    left to right.
     """
     first = row[0]
     rest = range(1, len(row))
@@ -170,19 +148,42 @@ def _row_times(add, mul, row: tuple, cols: tuple) -> tuple:
     return tuple(out)
 
 
+def _uni_row_times(add, mul, i: int, row: tuple, cols: tuple) -> tuple:
+    """Row i of a unitriangular product, ``row`` being row i of the left factor.
+
+    Entry j > i is col_j[i] + row[i+1]*col_j[i+1] + ... + row[j], the terms in
+    ``_row_times`` order, so each entry keeps its value and its type.
+    """
+    out = list(row[: i + 1])
+    for j in range(i + 1, len(row)):
+        col = cols[j]
+        acc = col[i]
+        for k in range(i + 1, j):
+            acc = add(acc, mul(row[k], col[k]))
+        out.append(add(acc, row[j]))
+    return tuple(out)
+
+
+def _row_kernel(semiring: Semiring, family: str) -> Callable[[int, tuple, tuple], tuple]:
+    """The row loop of ``family`` products: ``kernel(i, row i of A, columns of B)`` is row i of A*B."""
+    loop = _uni_row_times if family == UNI else _row_times
+    return partial(loop, semiring._add, semiring._mul)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with addition and multiplication induced entrywise."""
     _check_pair(a, b)
-    add = _product_add(a.semiring, a.family)
-    mul = a.semiring._mul
+    kernel = _row_kernel(a.semiring, a.family)
     cols = tuple(zip(*b.entries))
-    return Matrix(a.semiring, a.family, tuple([_row_times(add, mul, row, cols) for row in a.entries]))
+    return Matrix(a.semiring, a.family, tuple([kernel(i, row, cols) for i, row in enumerate(a.entries)]))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise maximum (unoptimized; products are the primary operation)."""
     _check_pair(a, b)
     add = a.semiring._add
+    if a.family == UNI:
+        add = partial(_with_adjoined_id, add)  # the diagonal is 1 + 1
     rows = tuple(
         tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
     )

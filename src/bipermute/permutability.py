@@ -27,7 +27,7 @@ from .errors import (
     LengthMismatch,
     ShapeMismatch,
 )
-from .matrices import FULL, Matrix, _product_add, _row_times, mat_mul, prefix_suffix_products, seq_product
+from .matrices import FULL, Matrix, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 
 EXHAUSTIVE_CAP_DEFAULT = 8
@@ -143,9 +143,8 @@ def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
     matches is multiplied out and compared whole.  The order of the sweep
     and the recorded states stay the same, so the first hit does too.
     """
-    desc = target.semiring
     cols = [tuple(zip(*m.entries)) for m in seq]
-    tail = (_product_add(desc, target.family), desc._mul, cols, target.entries[0])
+    tail = (_row_kernel(target.semiring, target.family), cols, target.entries[0])
     return _sweep(seq, target, tail, [], set(), None, 0, True)
 
 
@@ -183,14 +182,14 @@ def _row_sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[
     ``prefix`` is the full product of ``chosen[:start]``; a leaf whose row 0
     matches the target's is decided by multiplying the rest onto it.
     """
-    add, mul, cols, goal = tail
+    kernel, cols, goal = tail
     k = len(seq)
     depth = len(chosen)
     for idx in range(k):
         bit = 1 << idx
         if mask & bit:
             continue
-        child = seq[idx].entries[0] if row is None else _row_times(add, mul, row, cols[idx])
+        child = seq[idx].entries[0] if row is None else kernel(0, row, cols[idx])
         child_identity = on_identity and idx == depth
         if depth + 1 == k:
             if not child_identity and child == goal:

@@ -19,7 +19,9 @@ implemented here:
 
 Real-valued carriers are restricted to rationals so every equality test in
 the package is exact.  Families without a genuine zero can have one adjoined
-(``adjoin_zero``), represented by the ``NEG_INF`` sentinel plus a flag.
+(``adjoin_zero``), represented by the ``NEG_INF`` sentinel plus a flag.  The
+identity adjoined on unitriangular diagonals is no carrier element: of the
+operations here, only the public ``srk_*`` ones accept it.
 """
 
 from __future__ import annotations
@@ -306,7 +308,7 @@ class Semiring:
 
     @cached_property
     def _add(self) -> Callable[[Scalar, Scalar], Scalar]:
-        """Fast unvalidated addition (maximum); sentinel cases are universal."""
+        """Fast unvalidated addition (maximum) of carrier elements, never the adjoined identity."""
         if self.family in _ATOM_FAMILIES and self.family != TABLE:
 
             def add(a, b):
@@ -314,10 +316,6 @@ class Semiring:
                     return b
                 if b is NEG_INF:
                     return a
-                if a is ADJOINED_ID or b is ADJOINED_ID:
-                    if a is b:
-                        return a
-                    raise UndefinedPartialSum(f"{a!r} + {b!r} is undefined")
                 return a if a.index >= b.index else b
 
             return add
@@ -329,10 +327,6 @@ class Semiring:
                     return b
                 if b is NEG_INF:
                     return a
-                if a is ADJOINED_ID or b is ADJOINED_ID:
-                    if a is b:
-                        return a
-                    raise UndefinedPartialSum(f"{a!r} + {b!r} is undefined")
                 return Atom(tbl[a.index][b.index])
 
             return add
@@ -342,27 +336,19 @@ class Semiring:
                 return b
             if b is NEG_INF:
                 return a
-            if a is ADJOINED_ID or b is ADJOINED_ID:
-                if a is b:
-                    return a
-                raise UndefinedPartialSum(f"{a!r} + {b!r} is undefined")
             return a if a >= b else b
 
         return add
 
     @cached_property
     def _mul(self) -> Callable[[Scalar, Scalar], Scalar]:
-        """Fast unvalidated multiplication; NEG_INF absorbs, ADJOINED_ID is neutral."""
+        """Fast unvalidated multiplication of carrier elements; NEG_INF absorbs."""
         f = self.family
         if f in _UNBOUNDED_FAMILIES:
 
             def mul(a, b):
                 if a is NEG_INF or b is NEG_INF:
                     return NEG_INF
-                if a is ADJOINED_ID:
-                    return b
-                if b is ADJOINED_ID:
-                    return a
                 return a + b
 
             return mul
@@ -372,10 +358,6 @@ class Semiring:
             def mul(a, b):
                 if a is NEG_INF or b is NEG_INF:
                     return NEG_INF
-                if a is ADJOINED_ID:
-                    return b
-                if b is ADJOINED_ID:
-                    return a
                 s = a + b
                 return s if s < top else top
 
@@ -386,10 +368,6 @@ class Semiring:
             def mul(a, b):
                 if a is NEG_INF or b is NEG_INF:
                     return NEG_INF
-                if a is ADJOINED_ID:
-                    return b
-                if b is ADJOINED_ID:
-                    return a
                 s = a + b
                 return s if s > mk else mk
 
@@ -400,10 +378,6 @@ class Semiring:
             def mul(a, b):
                 if a is NEG_INF or b is NEG_INF:
                     return NEG_INF
-                if a is ADJOINED_ID:
-                    return b
-                if b is ADJOINED_ID:
-                    return a
                 return Atom(tbl[a.index][b.index])
 
             return mul
@@ -411,10 +385,6 @@ class Semiring:
         def mul(a, b):  # chain / boolean: minimum
             if a is NEG_INF or b is NEG_INF:
                 return NEG_INF
-            if a is ADJOINED_ID:
-                return b
-            if b is ADJOINED_ID:
-                return a
             return a if a.index <= b.index else b
 
         return mul
@@ -423,8 +393,8 @@ class Semiring:
     def _leq(self) -> Callable[[Scalar, Scalar], bool]:
         """The total order, defined by addition: a <= b iff a + b = b.
 
-        Bipotence makes this a total order with NEG_INF at the bottom; a
-        mixed adjoined identity raises UndefinedPartialSum from ``_add``.
+        Bipotence makes this a total order with NEG_INF at the bottom; only
+        ``srk_leq`` also compares the adjoined identity.
         """
         add = self._add
         return lambda a, b: add(a, b) == b
@@ -481,24 +451,41 @@ def table_semiring(tbl: FiniteSemiringTable, adjoined_zero: bool = False) -> Sem
 # -- the public scalar operations --------------------------------------------
 
 
+def _with_adjoined_id(op: Callable[[Scalar, Scalar], Scalar], a: Scalar, b: Scalar, product: bool = False) -> Scalar:
+    """``op`` (``_add``, or ``_mul`` if ``product``) extended to the adjoined identity 1.
+
+    The one home of its partial arithmetic: 1 + 1 = 1 + (-inf) = 1; 1*x = x*1 = x,
+    but -inf absorbs; 1 plus a proper element raises UndefinedPartialSum.
+    """
+    if a is not ADJOINED_ID and b is not ADJOINED_ID:
+        return op(a, b)
+    if a is NEG_INF or b is NEG_INF:
+        return NEG_INF if product else ADJOINED_ID
+    if product:
+        return b if a is ADJOINED_ID else a
+    if a is b:
+        return a
+    raise UndefinedPartialSum(f"{a!r} + {b!r} is undefined")
+
+
 def srk_add(desc: Semiring, a: Scalar, b: Scalar) -> Scalar:
     """Semiring addition (the maximum of the induced order); result is a or b."""
     desc.validate(a, allow_adjoined_id=True)
     desc.validate(b, allow_adjoined_id=True)
-    return desc._add(a, b)
+    return _with_adjoined_id(desc._add, a, b)
 
 
 def srk_mul(desc: Semiring, a: Scalar, b: Scalar) -> Scalar:
     desc.validate(a, allow_adjoined_id=True)
     desc.validate(b, allow_adjoined_id=True)
-    return desc._mul(a, b)
+    return _with_adjoined_id(desc._mul, a, b, product=True)
 
 
 def srk_leq(desc: Semiring, a: Scalar, b: Scalar) -> bool:
     """The total order: a <= b iff a + b = b."""
     desc.validate(a, allow_adjoined_id=True)
     desc.validate(b, allow_adjoined_id=True)
-    return desc._leq(a, b)
+    return _with_adjoined_id(desc._add, a, b) == b
 
 
 def same_semiring(a: Semiring, b: Semiring) -> bool:

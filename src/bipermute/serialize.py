@@ -63,7 +63,9 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError(f"not a semiring object: {obj!r}")
     family = obj["family"]
-    adjoined = bool(obj.get("adjoined_zero", False))
+    adjoined = obj.get("adjoined_zero", False)
+    if not isinstance(adjoined, bool):
+        raise ParseError(f"adjoined_zero must be a JSON boolean, got {adjoined!r}")
     try:
         if family == TROPICAL:
             desc = tropical()
@@ -87,7 +89,7 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
             desc = table_semiring(FiniteSemiringTable(int(obj["size"]), add, mul, validate=validate_tables))
         else:
             raise ParseError(f"unknown semiring family {family!r}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"malformed semiring object: {obj!r}") from exc
     return adjoin_zero(desc) if adjoined else desc
 
@@ -108,7 +110,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         m = Matrix.make(desc, obj["family"], rows)
         if m.n != int(obj["n"]):
             raise ParseError(f"declared dimension {obj['n']} does not match entries")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {obj!r}") from exc
     return m
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from bipermute import acceptance
 from bipermute.cli import main
 from bipermute.errors import NoPairFound
@@ -183,6 +185,45 @@ def test_parse_errors_exit_2(tmp_path):
     assert main(["axioms", "--inline", "{not json"]) == 2
     assert main(["axioms", "--semiring", str(tmp_path / "missing.json")]) == 2
     assert main(["product", "--input", write(tmp_path / "bad.json", {"matrices": []})]) == 2
+
+
+def _bicyclic(pairs):
+    return lambda tmp: ["witness", "bicyclic_rho", "--input", write(tmp / "pairs.json", pairs)]
+
+
+def _bad_bytes(tmp):
+    path = tmp / "latin1.json"
+    path.write_bytes(b'{"family": "caf\xe9"}')
+    return ["axioms", "--semiring", str(path)]
+
+
+_MALFORMED_INPUTS = {
+    "x_divides_by_zero": lambda tmp: ["axioms", "--inline", '{"family":"trunc","x":"1/0","y":"3"}'],
+    "k_overflows": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":1e400}'],
+    "size_overflows": lambda tmp: ["axioms", "--inline", '{"family":"chain","size":1e400}'],
+    "adjoined_zero_no": lambda tmp: ["axioms", "--inline", '{"family":"nat_max","adjoined_zero":"no"}'],
+    "adjoined_zero_false_string": lambda tmp: ["axioms", "--inline", '{"family":"nat_max","adjoined_zero":"false"}'],
+    "matrix_n_not_a_number": lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": "x", "family": "full", "semiring": {"family": "tropical"}, "entries": [[0]]}])],
+    "bicyclic_empty": _bicyclic([]),
+    "bicyclic_flat": _bicyclic([1, 2]),
+    "bicyclic_not_an_integer": _bicyclic([[1, "a"]]),
+    "bicyclic_float": _bicyclic([[1.5, 2]]),
+    "input_is_a_directory": lambda tmp: ["product", "--input", str(tmp)],
+    "input_not_utf8": _bad_bytes,
+    "out_in_missing_directory": lambda tmp: ["witness", "u3_nmax", "--m", "2", "--out", str(tmp / "no" / "w.json")],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
+    argv = _MALFORMED_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_negative_counts_exit_2(tmp_path, capsys):

@@ -17,8 +17,7 @@ from bipermute.matrices import (
     UNI,
     UT,
     Matrix,
-    _row_times,
-    _product_add,
+    _row_kernel,
     mat_add,
     mat_mul,
     pad_sequence,
@@ -37,6 +36,8 @@ from bipermute.semirings import (
     nat_max,
     neg_nat_max,
     noidentity_semiring,
+    srk_add,
+    srk_mul,
     table_semiring,
     tropical,
     trunc,
@@ -166,7 +167,7 @@ _PRODUCT_CASES = {
 
 
 def _reference_product(a, b):
-    """The textbook sum over l of a[i][l] * b[l][j], zero terms left out."""
+    """The textbook sum over l of a[i][l] * b[l][j] by the public scalar operations, zero terms left out."""
     desc = a.semiring
     zero = desc.zero_element()
     n = a.n
@@ -174,30 +175,36 @@ def _reference_product(a, b):
     for i in range(n):
         row = []
         for j in range(n):
-            terms = [desc._mul(a.entries[i][m], b.entries[m][j]) for m in range(n)]
+            terms = [srk_mul(desc, a.entries[i][m], b.entries[m][j]) for m in range(n)]
             proper = [t for t in terms if t != zero]
-            row.append(reduce(desc._add, proper) if proper else zero)
+            row.append(reduce(lambda s, t: srk_add(desc, s, t), proper) if proper else zero)
         rows.append(tuple(row))
     return tuple(rows)
 
 
+def _typed(entries):
+    """Entries with their types, so that 2 and Fraction(2) differ."""
+    return [[(type(v), v) for v in row] for row in entries]
+
+
 @pytest.mark.parametrize("case", list(_PRODUCT_CASES))
 def test_row_times_is_row_zero_of_the_product(case):
+    """mat_mul and the row loop of each family against the textbook product."""
     desc, families = _PRODUCT_CASES[case]
     rng = derive_rng(21, "row-times", case)
-    mul = desc._mul
     for family in families:
-        add = _product_add(desc, family)
-        for n in (1, 2, 3):
+        kernel = _row_kernel(desc, family)
+        for n in (1, 2, 3, 4):
             for _ in range(8):
                 seq = [sample_matrix(desc, n, rng, family) for _ in range(4)]
-                assert mat_mul(seq[0], seq[1]).entries == _reference_product(seq[0], seq[1])
                 product = seq[0].entries
                 row = seq[0].entries[0]
                 for m in seq[1:]:
-                    product = _reference_product(Matrix(desc, family, product), m)
-                    row = _row_times(add, mul, row, tuple(zip(*m.entries)))
-                assert row == product[0] == seq_product(seq).entries[0]
+                    expected = _reference_product(Matrix(desc, family, product), m)
+                    assert _typed(mat_mul(Matrix(desc, family, product), m).entries) == _typed(expected)
+                    product = expected
+                    row = kernel(0, row, tuple(zip(*m.entries)))
+                assert _typed([row]) == _typed([product[0]]) == _typed(seq_product(seq).entries[:1])
 
 
 @pytest.mark.parametrize("case", ["chain4", "boolean", "trunc_nat1", "trunc_neg_nat3", "max_min_table"])

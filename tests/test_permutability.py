@@ -10,7 +10,7 @@ import pytest
 from bipermute import permutability
 from bipermute.constructions import witness_M3_trunc, witness_U3_Nmax, witness_U3_negNmax
 from bipermute.errors import CapExceeded, DomainError, LengthMismatch
-from bipermute.matrices import FULL, UNI, Matrix, _row_times, mat_mul, seq_product
+from bipermute.matrices import FULL, UNI, Matrix, _row_kernel, mat_mul, seq_product
 from bipermute.permutability import (
     _exhaustive_search,
     Found,
@@ -206,13 +206,19 @@ def test_exhaustive_search_product_counts(monkeypatch, m, products, row_products
         calls += 1
         return mat_mul(a, b)
 
-    def counting_row_times(add, mul, row, cols):
-        nonlocal rows
-        rows += 1
-        return _row_times(add, mul, row, cols)
+    def counting_row_kernel(semiring, family):
+        assert family == UNI  # the count is of the unitriangular row loop
+        kernel = _row_kernel(semiring, family)
+
+        def counted(i, row, cols):
+            nonlocal rows
+            rows += 1
+            return kernel(i, row, cols)
+
+        return counted
 
     monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
-    monkeypatch.setattr(permutability, "_row_times", counting_row_times)
+    monkeypatch.setattr(permutability, "_row_kernel", counting_row_kernel)
     seq = witness_U3_Nmax(m)
     assert _exhaustive_search(seq, seq_product(seq)) is None
     assert (calls, rows) == (products, row_products)

@@ -108,13 +108,15 @@ def test_derived_order_matches_reference(case):
     for a in carrier:
         for b in carrier:
             assert leq(a, b) is _reference_leq(desc, a, b), (a, b)
-    assert leq(ADJOINED_ID, ADJOINED_ID) is True
-    assert leq(NEG_INF, ADJOINED_ID) is True and leq(ADJOINED_ID, NEG_INF) is False
+    # the adjoined identity is ordered by the public operation only
+    assert srk_leq(desc, ADJOINED_ID, ADJOINED_ID) is True
+    if desc.has_neg_inf:
+        assert srk_leq(desc, NEG_INF, ADJOINED_ID) is True and srk_leq(desc, ADJOINED_ID, NEG_INF) is False
     for a in sample:
         with pytest.raises(UndefinedPartialSum):
-            leq(a, ADJOINED_ID)
+            srk_leq(desc, a, ADJOINED_ID)
         with pytest.raises(UndefinedPartialSum):
-            leq(ADJOINED_ID, a)
+            srk_leq(desc, ADJOINED_ID, a)
 
 
 @pytest.mark.parametrize("case", list(_ORDER_CASES))
@@ -160,14 +162,25 @@ def test_domain_errors():
 
 
 def test_adjoined_identity_partial_sums():
-    t = trunc(1, 3)
-    assert srk_add(t, ADJOINED_ID, ADJOINED_ID) is ADJOINED_ID
-    assert srk_add(t, ADJOINED_ID, NEG_INF) is ADJOINED_ID
-    assert srk_mul(t, ADJOINED_ID, 2) == 2
-    with pytest.raises(UndefinedPartialSum):
-        srk_add(t, ADJOINED_ID, 2)
-    with pytest.raises(UndefinedPartialSum):
-        srk_leq(t, ADJOINED_ID, 2)
+    one = ADJOINED_ID
+    for make, sample in _ORDER_CASES.values():
+        desc = make()
+        if sample is None:
+            sample = [Atom(i) for i in range(desc.size)]
+        assert srk_add(desc, one, one) is one and srk_mul(desc, one, one) is one
+        if desc.has_neg_inf:
+            assert srk_add(desc, one, NEG_INF) is one and srk_add(desc, NEG_INF, one) is one
+            assert srk_mul(desc, one, NEG_INF) is NEG_INF and srk_mul(desc, NEG_INF, one) is NEG_INF
+        else:
+            with pytest.raises(DomainError):
+                srk_add(desc, one, NEG_INF)
+        for a in sample:
+            assert srk_mul(desc, one, a) is a and srk_mul(desc, a, one) is a
+            for op in (srk_add, srk_leq):
+                with pytest.raises(UndefinedPartialSum):
+                    op(desc, one, a)
+                with pytest.raises(UndefinedPartialSum):
+                    op(desc, a, one)
 
 
 # -- element order -------------------------------------------------------------
