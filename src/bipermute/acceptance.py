@@ -37,8 +37,10 @@ from .permutability import (
     reconstruct_from_assignment,
 )
 from .quotients import (
+    chain_class_bound,
     kerperm_bound,
     kerperm_find_swap,
+    trunc12_class_bound,
     truncperm_bound,
     xperm_bound,
     xperm_find,
@@ -321,12 +323,9 @@ def item_kerperm(seed: int, trials: Optional[int] = None) -> ItemResult:
     rng = derive_rng(seed, "kerperm")
     successes = 0
     total = 0
-    ch40 = chain(40)
-    t12 = trunc(1, 2)
-    for desc, k, count in (
-        (ch40, kerperm_bound(2 * n * n + 1, n), chain_trials),
-        (t12, kerperm_bound(2 * n * n + 3, n), trunc_trials),
-    ):
+    chain_length = kerperm_bound(chain_class_bound(n), n)
+    trunc_length = kerperm_bound(trunc12_class_bound(n), n)
+    for desc, k, count in ((chain(40), chain_length, chain_trials), (trunc(1, 2), trunc_length, trunc_trials)):
         for _ in range(count):
             seq = [sample_matrix(desc, n, rng) for _ in range(k)]
             witness = kerperm_find_swap(seq)
@@ -336,7 +335,7 @@ def item_kerperm(seed: int, trials: Optional[int] = None) -> ItemResult:
     return ItemResult(
         "kerperm_strong_permutability",
         successes == total,
-        {"chain_length": kerperm_bound(9, 2), "trunc_length": kerperm_bound(11, 2), "successes": successes, "trials": total},
+        {"chain_length": chain_length, "trunc_length": trunc_length, "successes": successes, "trials": total},
     )
 
 

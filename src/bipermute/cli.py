@@ -141,6 +141,13 @@ def _parse_scalar_arg(text: str):
     return scalar_from_json(obj)
 
 
+def _check_mode(args, desc, default_trials: int):
+    """Every element of a finite carrier, else ``--trials`` seeded draws."""
+    if desc.carrier_elements() is not None:
+        return Exhaustive()
+    return Sampled(seed=_resolve_seed(args), trials=args.trials or default_trials)
+
+
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -148,11 +155,7 @@ def _cmd_axioms(args) -> int:
     # suspect tables are loaded unvalidated so the law failure lands in the
     # report (with its counterexample) rather than in a parse error
     desc = _load_semiring(args, validate_tables=False)
-    if desc.carrier_elements() is not None:
-        mode = Exhaustive()
-    else:
-        mode = Sampled(seed=_resolve_seed(args), trials=args.trials or 1000)
-    report = check_axioms(desc, mode)
+    report = check_axioms(desc, _check_mode(args, desc, 1000))
     _emit({"schema": SCHEMA_VERSION, "command": "axioms", **axiom_report_to_json(report)}, args.out)
     return 0 if report.passed else 1
 
@@ -302,11 +305,7 @@ def _cmd_quotient(args) -> int:
     desc = _load_semiring(args)
     protected = [scalar_from_json(v) for v in _load_json(args.input)]
     quotient = protecting_congruence(desc, protected)
-    if desc.carrier_elements() is not None:
-        mode = Exhaustive()
-    else:
-        mode = Sampled(seed=_resolve_seed(args), trials=args.trials or 2000)
-    verification = verify_congruence(quotient, mode)
+    verification = verify_congruence(quotient, _check_mode(args, desc, 2000))
     _emit(
         {
             "schema": SCHEMA_VERSION,

@@ -35,8 +35,11 @@ from .semirings import (
     Check,
     Exhaustive,
     FiniteSemiringTable,
+    Law,
     Sampled,
     Semiring,
+    _CheckReport,
+    check_laws,
     same_semiring,
     table_semiring,
     trunc,
@@ -206,13 +209,9 @@ def protecting_congruence(desc: Semiring, protected: Sequence[Scalar]) -> Congru
 
 
 @dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(_CheckReport):
     mode: str
     checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _class_member(desc: Semiring, cls: ClassDesc, rng) -> Optional[Scalar]:
@@ -244,75 +243,59 @@ def _class_member(desc: Semiring, cls: ClassDesc, rng) -> Optional[Scalar]:
 def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
     """Check the partition, both congruence laws, and table consistency.
 
-    Exhaustive mode enumerates the finite carrier; sampled mode draws pairs
-    from random classes plus free elements from the carrier sampler.  Each
-    law reports the first counterexample found, if any.
+    Each law reports its first counterexample.  The partition law runs over
+    every carrier element (exhaustive) or over each draw's free element c
+    and then its class member a (sampled); the other laws run over triples
+    (a, b, c) with a and b in one class, all of them or the drawn ones.
     """
     desc = q.source
-    failures: dict[str, tuple[Scalar, ...]] = {}
+    add, mul, cls = desc._add, desc._mul, q.class_of
 
-    def check_partition(a: Scalar) -> None:
-        if "partition" in failures:
-            return
-        hits = sum(1 for cls in q.classes if _contains(desc, cls, a))
-        if hits != 1:
-            failures["partition"] = (a,)
+    def table_consistent(a, b, c):
+        try:
+            ca, cc = cls(a), cls(c)
+            return cls(mul(a, c)) == q.tables.mul[ca][cc] and cls(add(a, c)) == q.tables.add[ca][cc]
+        except IndexError:  # corrupted quotient: tables smaller than the class list
+            return False
 
-    def check_pair(a: Scalar, b: Scalar, c: Scalar) -> None:
-        add, mul = desc._add, desc._mul
-        ca = q.class_of(a)
-        if "mul_congruence" not in failures:
-            if q.class_of(mul(a, c)) != q.class_of(mul(b, c)) or q.class_of(mul(c, a)) != q.class_of(mul(c, b)):
-                failures["mul_congruence"] = (a, b, c)
-        if "add_congruence" not in failures:
-            if q.class_of(add(a, c)) != q.class_of(add(b, c)):
-                failures["add_congruence"] = (a, b, c)
-        if "table_consistency" not in failures:
-            cc = q.class_of(c)
-            try:
-                consistent = (
-                    q.class_of(mul(a, c)) == q.tables.mul[ca][cc]
-                    and q.class_of(add(a, c)) == q.tables.add[ca][cc]
-                )
-            except IndexError:  # corrupted quotient: tables smaller than the class list
-                consistent = False
-            if not consistent:
-                failures["table_consistency"] = (a, c)
+    partition = Law("partition", lambda a: sum(1 for k in q.classes if _contains(desc, k, a)) == 1, (0,))
+    pair_laws = (
+        Law("add_congruence", lambda a, b, c: cls(add(a, c)) == cls(add(b, c)), (0, 1, 2)),
+        Law(
+            "mul_congruence",
+            lambda a, b, c: cls(mul(a, c)) == cls(mul(b, c)) and cls(mul(c, a)) == cls(mul(c, b)),
+            (0, 1, 2),
+        ),
+        Law("table_consistency", table_consistent, (0, 2)),
+    )
 
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
             raise InfeasibleExhaustive("carrier is infinite; use sampled verification")
+        points = [(a,) for a in carrier]
+        index: dict[int, list[Scalar]] = {}
         for a in carrier:
-            check_partition(a)
-        index = {}
-        for a in carrier:
-            index.setdefault(q.class_of(a), []).append(a)
-        for members in index.values():
-            for a in members:
-                for b in members:
-                    for c in carrier:
-                        check_pair(a, b, c)
+            index.setdefault(cls(a), []).append(a)
+        triples = ((a, b, c) for members in index.values() for a in members for b in members for c in carrier)
         mode_name = "exhaustive"
     elif isinstance(mode, Sampled):
         rng = derive_rng(mode.seed, "verify_congruence")
+        points, triples = [], []
         for _ in range(mode.trials):
-            cls = q.classes[rng.randrange(len(q.classes))]
-            a = _class_member(desc, cls, rng)
-            b = _class_member(desc, cls, rng)
+            drawn = q.classes[rng.randrange(len(q.classes))]
+            a = _class_member(desc, drawn, rng)
+            b = _class_member(desc, drawn, rng)
             c = sample_scalar(desc, rng)
-            check_partition(c)
-            if a is None or b is None:
-                continue
-            check_partition(a)
-            check_pair(a, b, c)
+            points.append((c,))
+            if a is not None and b is not None:
+                points.append((a,))
+                triples.append((a, b, c))
         mode_name = "sampled"
     else:
         raise DomainError(f"unknown verification mode {mode!r}")
 
-    names = ("partition", "add_congruence", "mul_congruence", "table_consistency")
-    checks = tuple(Check(n, n not in failures, failures.get(n)) for n in names)
-    return CongruenceReport(mode_name, checks)
+    return CongruenceReport(mode_name, check_laws((partition,), points) + check_laws(pair_laws, triples))
 
 
 # -- pigeonhole bounds and the generic transposition finder ------------------

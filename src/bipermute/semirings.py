@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     DomainError,
@@ -59,10 +59,10 @@ _UNBOUNDED_FAMILIES = (TROPICAL, NAT_MAX, NEG_NAT_MAX)
 class FiniteSemiringTable:
     """Explicit finite bipotent semiring given by index tables.
 
-    ``add`` and ``mul`` are size x size tables of element indices.  The
-    bipotent semiring laws (addition commutative, associative and bipotent,
-    multiplication associative, two-sided distributivity) are checked
-    exhaustively at construction so downstream code may assume lawfulness.
+    ``add`` and ``mul`` are size x size tables of element indices.  The laws
+    ``check_axioms`` reports (``semiring_laws``) are checked on every index
+    triple at construction so downstream code may assume lawfulness; a
+    broken law raises DomainError naming it and its first counterexample.
     """
 
     size: int
@@ -73,39 +73,19 @@ class FiniteSemiringTable:
     validate: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.validate:
-            self._check_shape()
-            return
-        self._check_shape()
-        n = self.size
-        add, mul = self.add, self.mul
-        for i in range(n):
-            for j in range(n):
-                if add[i][j] != add[j][i]:
-                    raise DomainError(f"addition not commutative at ({i},{j})")
-                if add[i][j] not in (i, j):
-                    raise DomainError(f"addition not bipotent at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if add[add[i][j]][k] != add[i][add[j][k]]:
-                        raise DomainError(f"addition not associative at ({i},{j},{k})")
-                    if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                        raise DomainError(f"multiplication not associative at ({i},{j},{k})")
-                    if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
-                        raise DomainError(f"left distributivity fails at ({i},{j},{k})")
-                    if mul[add[i][j]][k] != add[mul[i][k]][mul[j][k]]:
-                        raise DomainError(f"right distributivity fails at ({i},{j},{k})")
-
-    def _check_shape(self):
-        n = self.size
+        n, add, mul = self.size, self.add, self.mul
         if n < 1:
             raise DomainError("table semiring needs at least one element")
-        for name, t in (("add", self.add), ("mul", self.mul)):
+        for name, t in (("add", add), ("mul", mul)):
             if len(t) != n or any(len(row) != n for row in t):
                 raise DomainError(f"{name} table is not {n}x{n}")
             if any(not (0 <= v < n) for row in t for v in row):
                 raise DomainError(f"{name} table contains an out-of-range index")
+        if self.validate:
+            laws = semiring_laws(lambda a, b: add[a][b], lambda a, b: mul[a][b], self.is_commutative)
+            for check in check_laws(laws, itertools.product(range(n), repeat=3)):
+                if not check.passed:
+                    raise DomainError(f"table fails {check.name} at {check.counterexample}")
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -638,19 +618,75 @@ class Check:
     counterexample: Optional[tuple[Scalar, ...]] = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    semiring: Semiring
-    mode: str
-    checks: tuple[Check, ...]
+class _CheckReport:
+    """The ``passed`` of a report of law checks: every check passed."""
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
+@dataclass(frozen=True)
+class AxiomReport(_CheckReport):
+    semiring: Semiring
+    mode: str
+    checks: tuple[Check, ...]
+
+
+@dataclass(frozen=True)
+class Law:
+    """A named predicate on one case, and the case positions its counterexample keeps."""
+
+    name: str
+    holds: Callable[..., bool]
+    keep: tuple[int, ...]
+
+
+def check_laws(laws: Sequence[Law], cases: Iterable[tuple]) -> tuple[Check, ...]:
+    """One Check per law, in law order, each with the law's first counterexample.
+
+    A law that has failed is not evaluated again.
+    """
+    failures: dict[str, tuple] = {}
+    pending = tuple(laws)
+    for case in cases:
+        for law in pending:  # iterates the tuple as it was when this case began
+            if not law.holds(*case):
+                failures[law.name] = tuple(case[i] for i in law.keep)
+                pending = tuple(other for other in pending if other is not law)
+    return tuple(Check(law.name, law.name not in failures, failures.get(law.name)) for law in laws)
+
+
+def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law, ...]:
+    """The bipotent semiring laws on a case (a, b, c), in report order.
+
+    The order is the one addition defines (a <= b iff a + b = b), and
+    ``mul_comm`` is a law only where the product claims to commute.
+    """
+
+    def leq(a, b):
+        return add(a, b) == b
+
+    def order_compat_mul(a, b, c):
+        lo, hi = (a, b) if leq(a, b) else (b, a)
+        return leq(mul(lo, c), mul(hi, c)) and leq(mul(c, lo), mul(c, hi))
+
+    laws = [
+        Law("add_assoc", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), (0, 1, 2)),
+        Law("add_comm", lambda a, b, c: add(a, b) == add(b, a), (0, 1)),
+        Law("add_bipotent", lambda a, b, c: add(a, b) in (a, b), (0, 1)),
+        Law("mul_assoc", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)), (0, 1, 2)),
+        Law("dist_left", lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (0, 1, 2)),
+        Law("dist_right", lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), (0, 1, 2)),
+        Law("order_compat_mul", order_compat_mul, (0, 1, 2)),
+    ]
+    if commutative:
+        laws.insert(4, Law("mul_comm", lambda a, b, c: mul(a, b) == mul(b, a), (0, 1)))
+    return tuple(laws)
+
+
 def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomReport:
-    """Verify the bipotent semiring laws on all triples or on sampled ones."""
+    """Verify ``semiring_laws`` on all triples or on sampled ones: each law's first counterexample."""
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
@@ -666,37 +702,8 @@ def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomRepor
             for _ in range(mode.trials)
         )
         mode_name = "sampled"
-
-    add, mul, leq = desc._add, desc._mul, desc._leq
-    names = ["add_assoc", "add_comm", "add_bipotent", "mul_assoc", "dist_left", "dist_right", "order_compat_mul"]
-    if desc.claims_commutative:
-        names.insert(4, "mul_comm")
-    failures: dict[str, tuple[Scalar, ...]] = {}
-
-    for a, b, c in triples:
-        if "add_assoc" not in failures and add(add(a, b), c) != add(a, add(b, c)):
-            failures["add_assoc"] = (a, b, c)
-        if "add_comm" not in failures and add(a, b) != add(b, a):
-            failures["add_comm"] = (a, b)
-        if "add_bipotent" not in failures and add(a, b) not in (a, b):
-            failures["add_bipotent"] = (a, b)
-        if "mul_assoc" not in failures and mul(mul(a, b), c) != mul(a, mul(b, c)):
-            failures["mul_assoc"] = (a, b, c)
-        if desc.claims_commutative and "mul_comm" not in failures and mul(a, b) != mul(b, a):
-            failures["mul_comm"] = (a, b)
-        if "dist_left" not in failures and mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-            failures["dist_left"] = (a, b, c)
-        if "dist_right" not in failures and mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-            failures["dist_right"] = (a, b, c)
-        if "order_compat_mul" not in failures:
-            lo, hi = (a, b) if leq(a, b) else (b, a)
-            if not leq(mul(lo, c), mul(hi, c)) or not leq(mul(c, lo), mul(c, hi)):
-                failures["order_compat_mul"] = (a, b, c)
-
-    checks = tuple(
-        Check(name, name not in failures, failures.get(name)) for name in names
-    )
-    return AxiomReport(desc, mode_name, checks)
+    laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
+    return AxiomReport(desc, mode_name, check_laws(laws, triples))
 
 
 # -- the 3-element semiring that admits no identity --------------------------

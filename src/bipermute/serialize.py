@@ -59,6 +59,13 @@ def semiring_to_json(desc: Semiring) -> dict:
     return out
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of the wire format: a JSON integer, never a float or a boolean."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError(f"not a semiring object: {obj!r}")
@@ -76,17 +83,18 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
         elif family == TRUNC:
             desc = trunc(Fraction(str(obj["x"])), Fraction(str(obj["y"])))
         elif family == TRUNC_NAT:
-            desc = trunc_nat(int(obj["k"]))
+            desc = trunc_nat(_json_int(obj["k"], "k"))
         elif family == TRUNC_NEG_NAT:
-            desc = trunc_neg_nat(int(obj["k"]))
+            desc = trunc_neg_nat(_json_int(obj["k"], "k"))
         elif family == CHAIN:
-            desc = chain(int(obj["size"]))
+            desc = chain(_json_int(obj["size"], "size"))
         elif family == BOOLEAN:
             desc = boolean()
         elif family == TABLE:
-            add = tuple(tuple(int(v) for v in row) for row in obj["add"])
-            mul = tuple(tuple(int(v) for v in row) for row in obj["mul"])
-            desc = table_semiring(FiniteSemiringTable(int(obj["size"]), add, mul, validate=validate_tables))
+            add = tuple(tuple(_json_int(v, "a table entry") for v in row) for row in obj["add"])
+            mul = tuple(tuple(_json_int(v, "a table entry") for v in row) for row in obj["mul"])
+            size = _json_int(obj["size"], "size")
+            desc = table_semiring(FiniteSemiringTable(size, add, mul, validate=validate_tables))
         else:
             raise ParseError(f"unknown semiring family {family!r}")
     except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -108,7 +116,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         desc = semiring_from_json(obj["semiring"])
         rows = [[scalar_from_json(v) for v in row] for row in obj["entries"]]
         m = Matrix.make(desc, obj["family"], rows)
-        if m.n != int(obj["n"]):
+        if m.n != _json_int(obj["n"], "n"):
             raise ParseError(f"declared dimension {obj['n']} does not match entries")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {obj!r}") from exc

@@ -205,6 +205,14 @@ _MALFORMED_INPUTS = {
     "adjoined_zero_false_string": lambda tmp: ["axioms", "--inline", '{"family":"nat_max","adjoined_zero":"false"}'],
     "matrix_n_not_a_number": lambda tmp: ["product", "--input", write(
         tmp / "m.json", [{"n": "x", "family": "full", "semiring": {"family": "tropical"}, "entries": [[0]]}])],
+    # integer fields accept JSON integers only: no float or boolean is truncated
+    "k_is_a_float": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":2.5}'],
+    "k_is_a_boolean": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":true}'],
+    "size_is_a_float": lambda tmp: ["axioms", "--inline", '{"family":"chain","size":3.7}'],
+    "matrix_n_is_a_float": lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": 1.9, "family": "full", "semiring": {"family": "tropical"}, "entries": [[0]]}])],
+    "table_entry_is_a_float": lambda tmp: [
+        "axioms", "--inline", '{"family":"table","size":2,"add":[[0,1],[1,1]],"mul":[[0,0],[0,1.9]]}'],
     "bicyclic_empty": _bicyclic([]),
     "bicyclic_flat": _bicyclic([1, 2]),
     "bicyclic_not_an_integer": _bicyclic([[1, "a"]]),

@@ -26,7 +26,7 @@ from bipermute.quotients import (
 )
 from bipermute.sampling import derive_rng, sample_matrix, sample_scalar
 from bipermute.scalars import NEG_INF, Atom
-from bipermute.semirings import Exhaustive, Sampled, chain, check_axioms, tropical, trunc
+from bipermute.semirings import Check, Exhaustive, Sampled, chain, check_axioms, tropical, trunc
 
 
 def test_chain_congruence_layout():
@@ -105,6 +105,13 @@ def test_verify_congruence_negative_controls():
     assert "mul_congruence" in failed
     bad = next(c for c in report.checks if c.name == "mul_congruence")
     assert bad.counterexample is not None
+    # each law's first counterexample, in the order the cases are drawn
+    assert report.checks == (
+        Check("partition", True),
+        Check("add_congruence", True),
+        Check("mul_congruence", False, (0, F(189, 128), F(9, 8))),
+        Check("table_consistency", False, (F(153, 128), F(67, 64))),
+    )
 
     # overlapping intervals break the partition check
     overlapping = CongruenceQuotient(
@@ -121,6 +128,25 @@ def test_verify_congruence_negative_controls():
     report = verify_congruence(overlapping, Sampled(seed=6, trials=4000))
     assert not report.passed
     assert any(c.name == "partition" and not c.passed for c in report.checks)
+    assert report.checks == (
+        Check("partition", False, (F(3, 2),)),
+        Check("add_congruence", False, (F(51, 32), F(127, 64), F(3, 2))),
+        Check("mul_congruence", False, (F(225, 128), F(199, 128), 0)),
+        Check("table_consistency", False, (F(91, 64), F(105, 64))),
+    )
+
+
+def test_verify_congruence_reports_a_short_table_at_its_first_counterexample():
+    # a chain(10) quotient with 5 classes given the tables of a 3-class one:
+    # class 3 has no row, so the first pair that reaches it is inconsistent
+    q = chain_congruence(chain(10), [Atom(3), Atom(7)])
+    short = CongruenceQuotient(q.source, q.classes, q.reps, chain_congruence(chain(10), [Atom(5)]).tables)
+    assert verify_congruence(short, Exhaustive()).checks == (
+        Check("partition", True),
+        Check("add_congruence", True),
+        Check("mul_congruence", True),
+        Check("table_consistency", False, (Atom(0), Atom(7))),
+    )
 
 
 def test_kernel_image_is_a_homomorphism():

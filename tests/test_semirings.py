@@ -303,6 +303,40 @@ def test_table_validates_eagerly():
         FiniteSemiringTable(3, add, bad_mul)
 
 
+_MAX3 = ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "size, add, mul",
+    [
+        (3, _MAX3, ((0, 2, 1), (1, 1, 1), (1, 1, 2))),  # mul_assoc
+        (2, ((0, 0), (1, 1)), ((0, 0), (0, 1))),  # add_comm
+        (3, ((0, 2, 2), (2, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 1, 2), (0, 2, 2))),  # add_bipotent
+        (2, ((0, 1), (1, 1)), ((1, 0), (0, 1))),  # dist_left
+        (3, ((0, 2, 1), (2, 1, 0), (1, 0, 2)), _MAX3),  # add_assoc
+    ],
+)
+def test_table_error_names_the_first_law_check_axioms_fails(size, add, mul):
+    report = check_axioms(table_semiring(FiniteSemiringTable(size, add, mul, validate=False)), Exhaustive())
+    failed = [c for c in report.checks if not c.passed]
+    with pytest.raises(DomainError) as info:
+        FiniteSemiringTable(size, add, mul)
+    first = failed[0]
+    indices = tuple(v.index for v in first.counterexample)
+    assert str(info.value) == f"table fails {first.name} at {indices}"
+
+
+def test_noncommutative_table_has_no_mul_comm_law():
+    tbl = FiniteSemiringTable(2, ((0, 1), (1, 1)), ((0, 1), (0, 1)))  # a * b = b
+    report = check_axioms(table_semiring(tbl), Exhaustive())
+    assert report.passed and "mul_comm" not in [c.name for c in report.checks]
+
+
+def test_table_error_message():
+    with pytest.raises(DomainError, match=r"^table fails mul_assoc at \(0, 0, 1\)$"):
+        FiniteSemiringTable(3, _MAX3, ((0, 2, 1), (1, 1, 1), (1, 1, 2)))
+
+
 # -- the no-identity obstruction ---------------------------------------------------
 
 

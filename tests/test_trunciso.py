@@ -1,5 +1,6 @@
 """Classification of truncated semirings and the explicit isomorphisms."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from bipermute.errors import BadInterval, OutOfDomain
 from bipermute.sampling import derive_rng
 from bipermute.scalars import NEG_INF
-from bipermute.semirings import Finite, element_order, trunc
+from bipermute.semirings import Check, Finite, element_order, trunc
 from bipermute.trunciso import (
+    PiecewiseLinearMap,
     apply_iso,
     classify_truncated,
     distinguisher,
@@ -44,6 +46,16 @@ def test_apply_iso_values():
         apply_iso(cl.map, 1)
 
 
+@pytest.mark.parametrize("interval", [(0, 7), (2, 4), (3, 7), (1, 3)])
+def test_apply_iso_fixes_zero_and_keeps_int_and_fraction_points_alike(interval):
+    cl = classify_truncated(*interval)
+    image = apply_iso(cl.map, 0)
+    assert image == 0 and type(image) is int
+    for point in range(interval[0], interval[1] + 1):
+        from_int, from_fraction = apply_iso(cl.map, point), apply_iso(cl.map, F(point))
+        assert from_int == from_fraction and type(from_int) is type(from_fraction)
+
+
 def test_three_piece_map_levels():
     # pick an instance where the two slopes differ: x=3, y=7 (2x=6 < 7 < 9=3x)
     cl = classify_truncated(3, 7)
@@ -70,6 +82,30 @@ def test_verify_iso_reports():
         cl = classify_truncated(x, y)
         report = verify_iso(cl.map, cl.source, cl.target, seed=11, trials=800)
         assert report.passed, (x, y, [c for c in report.checks if not c.passed])
+
+
+def test_verify_iso_counterexamples_are_pinned():
+    # the [2, 4] map with slope 1/3 instead of 1/2 sends [2, 4] onto [1, 5/3]
+    cl = classify_truncated(2, 4)
+    broken = PiecewiseLinearMap((replace(cl.map.segments[0], slope=F(1, 3)),))
+    assert verify_iso(broken, cl.source, cl.target, seed=11, trials=200).checks == (
+        Check("preserves_add", True),
+        Check("preserves_mul", False, (F(4), F(2))),
+        Check("preserves_order", True),
+        Check("endpoints", False, (F(2), F(4))),
+        Check("sentinels", True),
+    )
+    # the [3, 7] map with its middle piece raised by 1/8
+    cl = classify_truncated(3, 7)
+    low, middle, high = cl.map.segments
+    broken = PiecewiseLinearMap((low, replace(middle, intercept=middle.intercept + F(1, 8)), high))
+    assert verify_iso(broken, cl.source, cl.target, seed=11, trials=200).checks == (
+        Check("preserves_add", False, (F(49, 8), F(373, 64))),
+        Check("preserves_mul", True),
+        Check("preserves_order", False, (F(49, 8), F(373, 64))),
+        Check("endpoints", True),
+        Check("sentinels", True),
+    )
 
 
 def test_verify_iso_key_identities():
