@@ -14,17 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .constructions import (
-    bicyclic_mul,
-    bicyclic_rho,
-    BicyclicElement,
-    witness_M3_trunc,
-    witness_M3_trunc_partial_product,
-    witness_U3_Nmax,
-    witness_U3_Nmax_partial_product,
-    witness_U3_negNmax,
-    witness_U3_negNmax_partial_product,
-)
+from .constructions import RIGID_FAMILIES, BicyclicElement, bicyclic_mul, bicyclic_rho
 from .errors import CaseFallthrough, PatternMismatch
 from .matrices import FULL, Matrix, mat_mul, pad_sequence
 from .permutability import (
@@ -73,6 +63,7 @@ from .semirings import (
     trunc_nat,
     trunc_neg_nat,
 )
+from .serialize import SCHEMA_VERSION
 from .trunciso import classify_truncated, max_element_order, max_order_by_iteration, verify_iso
 
 
@@ -242,14 +233,8 @@ def item_bicyclic(seed: int, trials: Optional[int] = None) -> ItemResult:
 
 
 def item_witness_families(seed: int, trials: Optional[int] = None) -> ItemResult:
-    eps = Fraction(1, 2)
-    families: list[tuple[str, Callable, Callable]] = [
-        ("u3_nmax", witness_U3_Nmax, witness_U3_Nmax_partial_product),
-        ("u3_negnmax", witness_U3_negNmax, witness_U3_negNmax_partial_product),
-        ("m3_trunc", lambda m: witness_M3_trunc(3, eps, m), lambda m, k: witness_M3_trunc_partial_product(3, eps, m, k)),
-    ]
     closed_ok = True
-    for _, gen, closed in families:
+    for gen, closed in RIGID_FAMILIES.values():
         for m in range(2, 13):
             seq = gen(m)
             acc = None
@@ -258,7 +243,7 @@ def item_witness_families(seed: int, trials: Optional[int] = None) -> ItemResult
                 if acc != closed(m, k):
                     closed_ok = False
     sweeps_ok = True
-    for _, gen, _ in families:
+    for gen, _ in RIGID_FAMILIES.values():
         for m in range(3, 8):
             if not exhaustive_identity_only(gen(m)):
                 sweeps_ok = False
@@ -523,7 +508,7 @@ def run_acceptance(seed: int = DEFAULT_SEED, items: Optional[list[str]] = None, 
         res = ITEMS[name](seed, trials)
         results.append({"name": res.name, "passed": res.passed, "details": res.details})
     return {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "seed": seed,
         "mode": "full" if trials is None else "fast",
         "items": results,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import BadEpsilon, BadParams, BadScale, DomainError
 from .matrices import FULL, UNI, UT, Matrix
@@ -228,3 +229,22 @@ def witness_M3_trunc_partial_product(z: Rational, eps: Rational, m: int, k: int)
         [NEG_INF, NEG_INF, 0],
     ]
     return Matrix.make(desc, FULL, rows)
+
+
+class RigidFamily(NamedTuple):
+    """B_1..B_m, whose product only the identity order preserves, and the closed form of B_1...B_k."""
+
+    sequence: Callable[..., list[Matrix]]
+    partial_product: Callable[..., Matrix]
+
+
+# the rigid families by name; m3_trunc also takes z and eps by keyword
+# (default 3 and 1/2)
+RIGID_FAMILIES: dict[str, RigidFamily] = {
+    "u3_nmax": RigidFamily(witness_U3_Nmax, witness_U3_Nmax_partial_product),
+    "u3_negnmax": RigidFamily(witness_U3_negNmax, witness_U3_negNmax_partial_product),
+    "m3_trunc": RigidFamily(
+        lambda m, z=3, eps=Fraction(1, 2): witness_M3_trunc(z, eps, m),
+        lambda m, k, z=3, eps=Fraction(1, 2): witness_M3_trunc_partial_product(z, eps, m, k),
+    ),
+}

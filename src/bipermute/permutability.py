@@ -24,6 +24,7 @@ from .errors import (
     CapExceeded,
     DomainError,
     EmptySequence,
+    InvariantViolation,
     LengthMismatch,
     ShapeMismatch,
 )
@@ -280,8 +281,9 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     Strategies run in a fixed order (equal pair, adjacent transpositions,
     all transpositions, random shuffles, exhaustive enumeration) and the
     first verified witness in canonical order is returned.  An exhaustive
-    sweep that finds nothing proves the product is identity-only; otherwise
-    a failed search is reported as none-found-under-policy.
+    sweep that finds nothing proves the product is identity-only, and one
+    whose hit fails to verify raises InvariantViolation; otherwise a failed
+    search is reported as none-found-under-policy.
     """
     k = len(seq)
     if k < 2:
@@ -296,8 +298,9 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
         if perm is None:
             return IdentityOnly(k)
         hit = _verified(seq, target, perm, "exhaustive")
-        if hit:
-            return hit
+        if not hit:
+            raise InvariantViolation(f"exhaustive hit {perm} does not preserve the product (implementation bug)")
+        return hit
     return NoneFoundUnderPolicy(policy)
 
 

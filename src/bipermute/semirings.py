@@ -182,6 +182,13 @@ class Semiring:
             return self.table.is_commutative
         return True
 
+    @property
+    def carrier_size(self) -> Optional[int]:
+        """The number of carrier elements, None if infinite; counted, never built."""
+        f = self.family
+        count = self.size if f in _ATOM_FAMILIES else self.k if f in (TRUNC_NAT, TRUNC_NEG_NAT) else None
+        return None if count is None else count + self.adjoined_zero
+
     def carrier_elements(self) -> Optional[list[Scalar]]:
         """All elements for finite carriers, in ascending order; None if infinite."""
         f = self.family

@@ -7,13 +7,14 @@ inputs and seeds serialize byte-identically.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParseError
 from .matrices import Matrix
 from .permutability import Found, IdentityOnly, NoneFoundUnderPolicy, PermutationWitness
-from .quotients import CongruenceQuotient, CongruenceReport, Singleton
+from .quotients import CongruenceQuotient, Singleton
 from .scalars import rational_str, scalar_from_json, scalar_to_json
 from .semirings import (
     BOOLEAN,
@@ -25,8 +26,13 @@ from .semirings import (
     TRUNC,
     TRUNC_NAT,
     TRUNC_NEG_NAT,
-    AxiomReport,
+    Finite,
     FiniteSemiringTable,
+    Infinite,
+    IsoNMax,
+    IsoNegNMax,
+    IsoTruncNat,
+    IsoTruncNegNat,
     Semiring,
     adjoin_zero,
     boolean,
@@ -39,7 +45,10 @@ from .semirings import (
     trunc_nat,
     trunc_neg_nat,
 )
-from .trunciso import IsoClassification, IsoReport
+from .trunciso import IsoClassification
+
+# the version every report states, the acceptance report included
+SCHEMA_VERSION = 1
 
 
 def semiring_to_json(desc: Semiring) -> dict:
@@ -112,8 +121,19 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
+    return _matrix_from_json(obj, {})
+
+
+def _matrix_from_json(obj, semirings: dict) -> Matrix:
+    """A matrix; ``semirings`` keeps the descriptor of each semiring object parsed so far.
+
+    Keys are reprs, since JSON values Python calls equal (2, 2.0, true) parse differently.
+    """
     try:
-        desc = semiring_from_json(obj["semiring"])
+        key = repr(obj["semiring"])
+        desc = semirings.get(key)
+        if desc is None:
+            desc = semirings[key] = semiring_from_json(obj["semiring"])
         rows = [[scalar_from_json(v) for v in row] for row in obj["entries"]]
         m = Matrix.make(desc, obj["family"], rows)
         if m.n != _json_int(obj["n"], "n"):
@@ -128,16 +148,17 @@ def matrices_to_json(seq: Sequence[Matrix]) -> list:
 
 
 def matrices_from_json(obj) -> list[Matrix]:
-    """Accept either a bare list of matrices or an object with a "matrices" key."""
+    """Accept either a bare list of matrices or an object with a "matrices" key.
+
+    Equal semiring objects are parsed once into one shared descriptor, which
+    lets products pass the identity shortcut of the semiring check.
+    """
     if isinstance(obj, dict) and "matrices" in obj:
         obj = obj["matrices"]
     if not isinstance(obj, list) or not obj:
         raise ParseError("expected a non-empty list of matrices")
-    seq = [matrix_from_json(m) for m in obj]
-    # equal descriptors become one object, so that products of the sequence
-    # pass the identity shortcut of the semiring check
-    desc = seq[0].semiring
-    return [Matrix(desc, m.family, m.entries) if m.semiring == desc else m for m in seq]
+    semirings: dict = {}
+    return [_matrix_from_json(m, semirings) for m in obj]
 
 
 def witness_to_json(w: PermutationWitness) -> dict:
@@ -191,37 +212,38 @@ def classification_to_json(c: IsoClassification) -> dict:
     return {"canonical": c.canonical_label(), "map": {"segments": segments}}
 
 
-def _named_checks_to_json(checks) -> list:
-    out = []
-    for c in checks:
-        ce = None
-        if c.counterexample is not None:
-            ce = [scalar_to_json(v) for v in c.counterexample]
-        out.append({"name": c.name, "passed": c.passed, "counterexample": ce})
+def check_report_to_json(report) -> dict:
+    """A report of law checks: its own fields in declaration order, then ``passed``."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    if "semiring" in out:
+        out["semiring"] = semiring_to_json(out["semiring"])
+    out["checks"] = [
+        {"name": c.name, "passed": c.passed, "counterexample": _scalars_to_json(c.counterexample)}
+        for c in out["checks"]
+    ]
+    out["passed"] = report.passed
     return out
 
 
-def axiom_report_to_json(report: AxiomReport) -> dict:
-    return {
-        "semiring": semiring_to_json(report.semiring),
-        "mode": report.mode,
-        "checks": _named_checks_to_json(report.checks),
-        "passed": report.passed,
-    }
+def _scalars_to_json(values) -> Optional[list]:
+    return None if values is None else [scalar_to_json(v) for v in values]
 
 
-def congruence_report_to_json(report: CongruenceReport) -> dict:
-    return {
-        "mode": report.mode,
-        "checks": _named_checks_to_json(report.checks),
-        "passed": report.passed,
-    }
+def order_to_json(res) -> dict:
+    if isinstance(res, Finite):
+        return {"kind": "finite", "order": res.order, "stabilization_index": res.stabilization_index}
+    if isinstance(res, Infinite):
+        return {"kind": "infinite", "certificate": res.certificate}
+    return {"kind": "unknown", "cap": res.cap}
 
 
-def iso_report_to_json(report: IsoReport) -> dict:
-    return {
-        "trials": report.trials,
-        "checks": _named_checks_to_json(report.checks),
-        "passed": report.passed,
-    }
-
+def monogenic_class_to_json(cls) -> dict:
+    if isinstance(cls, IsoNMax):
+        return {"kind": "n_max"}
+    if isinstance(cls, IsoNegNMax):
+        return {"kind": "neg_n_max"}
+    if isinstance(cls, IsoTruncNat):
+        return {"kind": "trunc_nat", "k": cls.k}
+    if isinstance(cls, IsoTruncNegNat):
+        return {"kind": "trunc_neg_nat", "k": cls.k}
+    return {"kind": "unknown", "cap": cls.cap}

@@ -1,13 +1,22 @@
 """End-to-end CLI behaviour: subcommands, exit codes, determinism."""
 
+import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bipermute import acceptance
+from bipermute import acceptance, cli, permutability
 from bipermute.cli import main
 from bipermute.errors import NoPairFound
 from bipermute.sampling import DEFAULT_SEED
+from bipermute.semirings import Exhaustive, Sampled, adjoin_zero, chain, tropical, trunc_nat, trunc_neg_nat
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(path, obj):
@@ -217,6 +226,9 @@ _MALFORMED_INPUTS = {
     "bicyclic_flat": _bicyclic([1, 2]),
     "bicyclic_not_an_integer": _bicyclic([[1, "a"]]),
     "bicyclic_float": _bicyclic([[1.5, 2]]),
+    # a later matrix repeats the first one's semiring object with a float k, equal in Python
+    "later_matrix_k_is_a_float": lambda tmp: ["product", "--input", write(tmp / "m.json", [
+        {"n": 1, "family": "full", "semiring": {"family": "trunc_nat", "k": k}, "entries": [[1]]} for k in (2, 2.0)])],
     "input_is_a_directory": lambda tmp: ["product", "--input", str(tmp)],
     "input_not_utf8": _bad_bytes,
     "out_in_missing_directory": lambda tmp: ["witness", "u3_nmax", "--m", "2", "--out", str(tmp / "no" / "w.json")],
@@ -258,7 +270,7 @@ def test_negative_counts_exit_2(tmp_path, capsys):
     assert zero.read_bytes() == default.read_bytes()
 
 
-def test_internal_errors_exit_3(monkeypatch, capsys):
+def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     def broken(seq):
         raise NoPairFound("pigeonhole violated")
 
@@ -268,3 +280,106 @@ def test_internal_errors_exit_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: pigeonhole violated\n"
+
+    # an exhaustive hit that does not multiply out to the product is a bug too
+    rigid = str(tmp_path / "w.json")
+    assert main(["witness", "u3_nmax", "--m", "5", "--out", rigid]) == 0
+    monkeypatch.setattr(permutability, "_exhaustive_search", lambda seq, target: (1, 0, 2, 3, 4))
+    capsys.readouterr()
+    assert main(["permute", "--input", rigid]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: exhaustive hit (1, 0, 2, 3, 4) does not preserve the product (implementation bug)\n"
+
+
+def test_exhaustive_checks_stop_at_the_carrier_budget():
+    args = argparse.Namespace(seed=None, trials=None)
+    finite = {chain(64): Exhaustive, chain(65): Sampled, trunc_neg_nat(64): Exhaustive,
+              adjoin_zero(trunc_nat(63)): Exhaustive, adjoin_zero(trunc_nat(64)): Sampled}
+    for desc, mode in finite.items():
+        assert desc.carrier_size == len(desc.carrier_elements())  # counted, not built
+        assert isinstance(cli._check_mode(args, desc, 10), mode), desc
+    assert tropical().carrier_size is None
+    assert isinstance(cli._check_mode(args, tropical(), 10), Sampled)
+
+
+# exhaustive checks of these carriers would take 10^9 cases and more
+_LARGE_CARRIERS = {
+    "axioms_trunc_nat_100000": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":100000}'],
+    "axioms_chain_2000": lambda tmp: ["axioms", "--inline", '{"family":"chain","size":2000}'],
+    "quotient_chain_3000": lambda tmp: [
+        "quotient", "--inline", '{"family":"chain","size":3000}', "--input", write(tmp / "x.json", [{"atom": 5}])],
+}
+
+
+@pytest.mark.parametrize("case", list(_LARGE_CARRIERS))
+def test_large_finite_carriers_are_sampled(tmp_path, case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *_LARGE_CARRIERS[case](tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report.get("verification", report)["mode"] == "sampled"
+
+
+_TROPICAL_SEQ = [
+    {"n": 2, "family": "full", "semiring": {"family": "tropical"}, "entries": entries}
+    for entries in ([[0, 1], [2, "-inf"]], [[1, 0], ["-inf", 3]], [["1/2", 0], [0, 2]], [[2, -1], [0, 0]])
+]
+
+_NOTHING = hashlib.sha256(b"").hexdigest()
+
+# one invocation per subcommand: (argv, SHA-256 of stdout, SHA-256 of stderr, exit code),
+# the digests taken from the reports before the command table was introduced
+_PINNED_REPORTS = {
+    "axioms": (lambda tmp: ["axioms", "--inline", json.dumps(
+        {"family": "table", "size": 3, "add": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+         "mul": [[0, 2, 1], [1, 1, 1], [1, 1, 2]]})],
+        "dc283fc69153b95ee957b9fecbf25d81cba05ebef2a8a6950f82dac3ad4b4c9a",
+        _NOTHING, 1),
+    "classify-element": (lambda tmp: [
+        "classify-element", "--inline", '{"family":"trunc","x":"1","y":"3"}', "3/2"],
+        "00b447fdd26d5d29ea9a5a9c3b53974b659a5e0dc0443b60fb7af4ace794ed3c",
+        _NOTHING, 0),
+    "classify-semiring": (lambda tmp: [
+        "classify-semiring", "--inline", '{"family":"trunc","x":"3/2","y":"7/2"}'],
+        "a1beaa39fe1c47e36598727b1f9d39a87e4069501d05202be171f1906d2ab061",
+        _NOTHING, 0),
+    "product": (lambda tmp: ["product", "--input", write(tmp / "seq.json", _TROPICAL_SEQ)],
+        "7171c6431f7e3a25b8340471ed7f80ea7146be18c47569df11a0f50ca84c904c",
+        _NOTHING, 0),
+    "permute": (lambda tmp: [
+        "permute", "--input", write(tmp / "seq.json", _TROPICAL_SEQ), "--trials", "5", "--seed", "3"],
+        "077be43a7b5f0aa1eb20891319a060c7e6d26a2e44253838ae906b70bb3f3aca",
+        _NOTHING, 0),
+    "witness": (lambda tmp: ["witness", "m3_trunc", "--m", "3", "--z", "7/2", "--eps", "1/3"],
+        "cf7a62b45db24e814b258c51d80fe19c1873049641464d954bc1018ea38124cf",
+        _NOTHING, 0),
+    "quotient": (lambda tmp: [
+        "quotient", "--inline", '{"family":"trunc","x":"1","y":"2"}',
+        "--input", write(tmp / "x.json", ["3/2", "7/4"]), "--trials", "50", "--seed", "2"],
+        "af139a882b8b50312f805a489e272437d639bf2c1d3f864e885cd017e45fcdfa",
+        _NOTHING, 0),
+    "iso": (lambda tmp: ["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "20"],
+        "28940b4efc575b471e716d92494e896137ee1c8f1f066a69ae90b5655f700aa4",
+        _NOTHING, 0),
+    "verify-all": (lambda tmp: ["verify-all", "--trials", "2", "--item", "noidentity"],
+        "11041f8d54b769808a6b8ffe20f10a5300723390febdb6a9b28fd23bd572d739",
+        "de2c10a8e847058e6333a01d42bafd5934d7a43c97aa8a0f602564743825b8e0", 0),
+}
+
+
+def test_pinned_reports_cover_every_command():
+    assert list(_PINNED_REPORTS) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("BIPERMUTE_SEED", raising=False)
+    make_argv, out_sha, err_sha, code = _PINNED_REPORTS[command]
+    capsys.readouterr()
+    assert main(make_argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha

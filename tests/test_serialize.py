@@ -1,5 +1,6 @@
 """Round trips and schema shapes of the JSON wire formats."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from bipermute.quotients import chain_congruence, trunc12_congruence
 from bipermute.sampling import derive_rng, sample_matrix
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom, scalar_from_json, scalar_to_json
 from bipermute.semirings import (
+    FiniteSemiringTable,
     adjoin_zero,
     boolean,
     chain,
@@ -109,6 +111,25 @@ def test_matrix_roundtrip():
         matrix_from_json(bad)
     mixed = matrices_from_json([matrix_to_json(seq[0]), matrix_to_json(sample_matrix(trunc(1, 3), 2, rng))])
     assert mixed[1].semiring == trunc(1, 3)  # kept as parsed, for products to reject
+
+
+def test_a_sequence_parses_each_semiring_object_once(monkeypatch):
+    quotient = trunc12_congruence([F(9, 8), F(5, 4), F(3, 2), F(7, 4)])
+    assert len(quotient.classes) == 11
+    rng = derive_rng(52, "ser-once")
+    seq = [sample_matrix(quotient.quotient_semiring(), 2, rng) for _ in range(200)]
+    objs = json.loads(json.dumps(matrices_to_json(seq)))  # 200 equal but distinct semiring objects
+    validations = []
+    validate = FiniteSemiringTable.__post_init__
+    monkeypatch.setattr(FiniteSemiringTable, "__post_init__", lambda table: validations.append(table) or validate(table))
+    parsed = matrices_from_json(objs)
+    assert len(validations) == 1
+    assert parsed == seq
+    assert all(m.semiring is parsed[0].semiring for m in parsed)
+    # a later object that Python calls equal to the first is still parsed, and rejected
+    objs[150]["semiring"]["size"] = float(objs[150]["semiring"]["size"])
+    with pytest.raises(ParseError, match="size must be a JSON integer, got 11.0"):
+        matrices_from_json(objs)
 
 
 def test_witness_json():
