@@ -76,7 +76,9 @@ def _check_counts(args) -> None:
             raise ParseError(f"--{name} must be non-negative, got {value}")
 
 
-def _load_json(path: str):
+def _load_json(path: Optional[str]):
+    if path is None:
+        raise ParseError("provide an input file with --input FILE")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

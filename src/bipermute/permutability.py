@@ -6,8 +6,12 @@ permutation exists for every long-enough tuple.  The searcher here is one
 stream of candidates from a fixed strategy ladder (equal pair, adjacent
 transpositions, general transpositions, random shuffles), then a full
 enumeration.  The strategies only propose; one function, ``_verified``,
-multiplies each candidate out and decides, and the finders of
-:mod:`bipermute.quotients` report through it too.
+decides every candidate, and the finders of :mod:`bipermute.quotients`
+report through it too.  A general permutation is multiplied out in full.  A
+transposition (i, j) of two equal matrices leaves the sequence unchanged and
+needs no product; any other one is decided as P_i*A_j*M*A_i*S_{j+1} from the
+prefix and suffix products its proposer already holds, so a swap near the
+front of a long sequence costs O(j) products, not O(k).
 
 The path-assignment machinery realizes the combinatorial argument for weak
 permutability: every entry of a permuted product is attained by one path in
@@ -18,7 +22,7 @@ the same per-matrix edge assignment necessarily have equal products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CapExceeded,
@@ -28,7 +32,7 @@ from .errors import (
     LengthMismatch,
     ShapeMismatch,
 )
-from .matrices import FULL, Matrix, _row_kernel, mat_mul, prefix_suffix_products, seq_product
+from .matrices import FULL, Matrix, _check_pair, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 
 EXHAUSTIVE_CAP_DEFAULT = 8
@@ -39,6 +43,9 @@ TRANSPOSITION_SCAN_MAX_LENGTH = 2048
 # 3x3 7-tuples with integer entries that kept at most 1,095 keys (0.69 MiB
 # tracemalloc peak); a limit of 2 kept 3,614 keys (2.16 MiB).
 _DEAD_MIN_REMAINING = 3
+# A right-to-left total keeps the suffix product of every index divisible by
+# this, so any suffix is rebuilt from the nearest one in fewer products.
+_SUFFIX_CHECKPOINT = 64
 
 Perm = tuple[int, ...]
 
@@ -213,11 +220,68 @@ def exhaustive_identity_only(seq: Sequence[Matrix], cap: int = EXHAUSTIVE_CAP_DE
     return _exhaustive_search(seq, target) is None
 
 
-def _verified(seq: Sequence[Matrix], target: Matrix, perm: Perm, strategy: str) -> Optional[Found]:
-    """Found iff ``perm`` multiplies out to exactly ``target``; every finder decides here."""
-    if apply_perm_product(seq, perm) == target:
-        return Found(perm, perm_kind(perm), strategy)
-    return None
+class _Swap(NamedTuple):
+    """The transposition of positions i < j, with the products around it.
+
+    ``prefix``, ``middle`` and ``suffix`` are the products of seq[:i],
+    seq[i+1:j] and seq[j+1:], each None when the segment is empty.
+    """
+
+    i: int
+    j: int
+    prefix: Optional[Matrix] = None
+    middle: Optional[Matrix] = None
+    suffix: Optional[Matrix] = None
+
+
+def _verified(seq: Sequence[Matrix], target: Optional[Matrix], candidate: Union[Perm, _Swap],
+              strategy: str) -> Optional[Found]:
+    """Found iff ``candidate`` keeps the product ``target``; every finder decides here.
+
+    A permutation is multiplied out in full.  A swap of two equal matrices
+    leaves the sequence unchanged, so it is decided without a product (and
+    without reading ``target``); any other swap multiplies its parts as
+    prefix * A_j * middle * A_i * suffix, at most four products.  Matrix
+    products are associative, so that is the same matrix as the permuted
+    product taken left to right.
+    """
+    if isinstance(candidate, _Swap):
+        i, j, prefix, middle, suffix = candidate
+        if seq[i] != seq[j] and _combine(prefix, seq[j], middle, seq[i], suffix) != target:
+            return None
+        perm = transposition(len(seq), i, j)
+    elif apply_perm_product(seq, candidate) == target:
+        perm = candidate
+    else:
+        return None
+    return Found(perm, perm_kind(perm), strategy)
+
+
+def _checkpointed_total(seq: Sequence[Matrix]) -> tuple[Matrix, dict[int, Matrix]]:
+    """The product of ``seq`` taken right to left, and the suffix products it passes.
+
+    Only the suffixes S_t = product of seq[t:] with t divisible by
+    ``_SUFFIX_CHECKPOINT`` are kept: k - 1 products and k / 64 matrices.
+    """
+    checkpoints = {}
+    acc = None
+    for t in range(len(seq) - 1, -1, -1):
+        acc = seq[t] if acc is None else mat_mul(seq[t], acc)
+        if t % _SUFFIX_CHECKPOINT == 0:
+            checkpoints[t] = acc
+    return acc, checkpoints
+
+
+def _swap_at(seq: Sequence[Matrix], checkpoints: dict[int, Matrix], i: int, j: int) -> _Swap:
+    """The swap of i < j with its parts, from the checkpoints of ``_checkpointed_total``.
+
+    The prefix and middle are multiplied out (fewer than j products), and
+    the suffix is rebuilt from the first checkpoint past j in fewer than
+    ``_SUFFIX_CHECKPOINT`` products.
+    """
+    top = min(-(-(j + 1) // _SUFFIX_CHECKPOINT) * _SUFFIX_CHECKPOINT, len(seq))
+    suffix = _combine(*seq[j + 1:top], checkpoints.get(top))
+    return _Swap(i, j, _combine(*seq[:i]), _combine(*seq[i + 1:j]), suffix)
 
 
 def _first_repeat(keys: Iterable) -> Optional[tuple[int, int]]:
@@ -230,8 +294,8 @@ def _first_repeat(keys: Iterable) -> Optional[tuple[int, int]]:
     return None
 
 
-def _swaps(seq, target, prefixes, suffixes, first_gap: int, last_gap: int, strategy: str):
-    """Transpositions (i, j) with first_gap <= j - i <= last_gap that keep the product.
+def _swaps(seq, prefixes, suffixes, first_gap: int, last_gap: int, strategy: str):
+    """Transpositions (i, j) with first_gap <= j - i <= last_gap, each with its parts.
 
     The middle segment seq[i+1:j] is streamed as one running product per i,
     extended only while a later j still needs it.
@@ -242,28 +306,24 @@ def _swaps(seq, target, prefixes, suffixes, first_gap: int, last_gap: int, strat
         stop = min(i + last_gap + 1, k)
         for j in range(i + 1, stop):
             if j - i >= first_gap:
-                tail = suffixes[j + 1] if j + 1 < k else None
-                if _combine(prefixes[i], seq[j], mid, seq[i], tail) == target:
-                    yield strategy, transposition(k, i, j)
+                yield strategy, _Swap(i, j, prefixes[i], mid, suffixes[j + 1] if j + 1 < k else None)
             if j + 1 < stop:
                 mid = seq[j] if mid is None else mat_mul(mid, seq[j])
 
 
-def _candidates(seq: Sequence[Matrix], target: Matrix, policy: SearchPolicy):
-    """(strategy, perm) proposals of the ladder's cheap rungs, in rung order."""
+def _candidates(seq: Sequence[Matrix], policy: SearchPolicy, ends):
+    """(strategy, candidate) proposals of the rungs after the equal pair, in rung order.
+
+    ``ends`` is ``prefix_suffix_products(seq)`` when a swap rung runs.
+    """
     k = len(seq)
-    if policy.try_equal_pair:
-        pair = _first_repeat(seq)
-        if pair is not None:
-            yield "equal_pair", transposition(k, *pair)
-    scan_all = policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH
-    if policy.try_adjacent or scan_all:
-        prefixes, suffixes = prefix_suffix_products(seq)
+    if ends is not None:
+        prefixes, suffixes = ends
         if policy.try_adjacent:
-            yield from _swaps(seq, target, prefixes, suffixes, 1, 1, "adjacent")
-        if scan_all:
+            yield from _swaps(seq, prefixes, suffixes, 1, 1, "adjacent")
+        if policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH:
             first_gap = 2 if policy.try_adjacent else 1
-            yield from _swaps(seq, target, prefixes, suffixes, first_gap, k, "transposition")
+            yield from _swaps(seq, prefixes, suffixes, first_gap, k, "transposition")
     if policy.random_trials > 0:
         rng = derive_rng(policy.seed, "find_preserving_permutation", "random")
         identity = identity_perm(k)
@@ -280,17 +340,31 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
 
     Strategies run in a fixed order (equal pair, adjacent transpositions,
     all transpositions, random shuffles, exhaustive enumeration) and the
-    first verified witness in canonical order is returned.  An exhaustive
-    sweep that finds nothing proves the product is identity-only, and one
-    whose hit fails to verify raises InvariantViolation; otherwise a failed
-    search is reported as none-found-under-policy.
+    first witness that ``_verified`` accepts, in canonical order, is
+    returned.  An equal pair needs no product, so that rung runs before the
+    product of the sequence is taken, and the product is taken only for a
+    later rung (from the suffix products when a swap rung builds them).  A
+    sequence that mixes dimensions, semirings or families raises what
+    ``seq_product`` raises, whichever rung decides.  An exhaustive sweep
+    that finds nothing proves the product is identity-only, and one whose
+    hit fails to verify raises InvariantViolation; otherwise a failed search
+    is reported as none-found-under-policy.
     """
     k = len(seq)
     if k < 2:
         raise LengthMismatch("need at least two matrices")
-    target = seq_product(seq)
-    for strategy, perm in _candidates(seq, target, policy):
-        hit = _verified(seq, target, perm, strategy)
+    for m in seq:
+        _check_pair(seq[0], m)
+    pair = _first_repeat(seq) if policy.try_equal_pair else None
+    if pair is not None:
+        return _verified(seq, None, _Swap(*pair), "equal_pair")
+    swap_rungs = policy.try_adjacent or (policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH)
+    if not (swap_rungs or policy.random_trials > 0 or k <= policy.exhaustive_cap):
+        return NoneFoundUnderPolicy(policy)
+    ends = prefix_suffix_products(seq) if swap_rungs else None
+    target = seq_product(seq) if ends is None else ends[1][0]
+    for strategy, candidate in _candidates(seq, policy, ends):
+        hit = _verified(seq, target, candidate, strategy)
         if hit:
             return hit
     if k <= policy.exhaustive_cap:

@@ -24,8 +24,8 @@ from .errors import (
     NoPairFound,
     PatternMismatch,
 )
-from .matrices import FULL, Matrix, seq_product
-from .permutability import PermutationWitness, _first_repeat, _verified, transposition
+from .matrices import FULL, Matrix
+from .permutability import PermutationWitness, _checkpointed_total, _first_repeat, _swap_at, _verified
 from .sampling import derive_rng, sample_scalar
 from .scalars import NEG_INF, Atom, Rational, Scalar
 from .semirings import (
@@ -322,7 +322,9 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     Builds the congruence whose singleton classes protect the entries of the
     full product, maps every factor through the induced matrix homomorphism,
     and swaps the first two factors with equal images.  The swap provably
-    preserves the product; it is still re-verified exactly.
+    preserves the product; ``_verified`` still decides it exactly.  The
+    product is taken right to left with a checkpoint every 64 suffixes, so
+    the swap (i, j) is checked in about j + 64 more products, not k.
     """
     if not seq:
         raise LengthTooShort("empty sequence")
@@ -331,7 +333,7 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     for m in seq:
         if m.family != FULL or not same_semiring(m.semiring, desc) or m.n != n:
             raise DomainError("need a uniform sequence of full matrices")
-    total = seq_product(seq)
+    total, checkpoints = _checkpointed_total(seq)
     q = protecting_congruence(desc, list({v for row in total.entries for v in row}))
     class_bound = trunc12_class_bound if desc.family == TRUNC else chain_class_bound
     required = kerperm_bound(class_bound(n), n)
@@ -341,7 +343,7 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     pair = _first_repeat(tuple(tuple(q.class_of(v) for v in row) for row in m.entries) for m in seq)
     if pair is None:
         raise NoPairFound("pigeonhole violated: no equal-image pair (implementation bug)")
-    hit = _verified(seq, total, transposition(len(seq), *pair), "kernel_pair")
+    hit = _verified(seq, total, _swap_at(seq, checkpoints, *pair), "kernel_pair")
     if hit is None:
         raise NoPairFound("equal-image swap failed to verify (implementation bug)")
     return hit
@@ -422,7 +424,8 @@ def xperm_find(seq: Sequence[Matrix]) -> PermutationWitness:
     else:
         raise PatternMismatch("matrices are not uniformly of the triangular pattern")
 
-    hit = _verified(seq, seq_product(seq), transposition(k, i, j), label)
+    total, checkpoints = _checkpointed_total(seq)
+    hit = _verified(seq, total, _swap_at(seq, checkpoints, i, j), label)
     if hit is None:
         raise CaseFallthrough(f"case {label!r} produced a non-preserving swap")
     return hit

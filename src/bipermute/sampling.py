@@ -7,8 +7,10 @@ seed and labels produce identical streams regardless of call order.
 
 A draw is one generator call plus integer arithmetic: each descriptor
 computes its truncation grids (integer numerators over one denominator) and
-its atoms once and keeps them.  Draws keep the values, the types and the
-generator consumption of the plain ``Fraction`` formulas stated below.
+its atoms once and keeps them, and a grid keeps each point's value once it
+has been drawn (trunc(1,2) has 65 points at the default denominator).  Draws
+keep the values, the types and the generator consumption of the plain
+``Fraction`` formulas stated below.
 """
 
 from __future__ import annotations
@@ -52,8 +54,12 @@ def _ratio(num: int, den: int) -> Scalar:
 
 def sample_trunc_value(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
     """The grid point x + t*(y-x)/steps of [x, y], steps = ceil((y-x)*denom), exact."""
-    steps, base, step, den = desc.trunc_grid(denom)
-    return _ratio(base + rng.randint(0, steps) * step, den)
+    steps, base, step, den, points = desc.trunc_grid(denom)
+    t = rng.randint(0, steps)
+    value = points.get(t)
+    if value is None:
+        value = points[t] = _ratio(base + t * step, den)
+    return value
 
 
 def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:

@@ -61,8 +61,8 @@ class FiniteSemiringTable:
 
     ``add`` and ``mul`` are size x size tables of element indices.  The laws
     ``check_axioms`` reports (``semiring_laws``) are checked on every index
-    triple at construction so downstream code may assume lawfulness; a
-    broken law raises DomainError naming it and its first counterexample.
+    case at construction so downstream code may assume lawfulness; a broken
+    law raises DomainError naming it and its first counterexample.
     """
 
     size: int
@@ -83,7 +83,7 @@ class FiniteSemiringTable:
                 raise DomainError(f"{name} table contains an out-of-range index")
         if self.validate:
             laws = semiring_laws(lambda a, b: add[a][b], lambda a, b: mul[a][b], self.is_commutative)
-            for check in check_laws(laws, itertools.product(range(n), repeat=3)):
+            for check in _check_on_every_case(laws, range(n)):
                 if not check.passed:
                     raise DomainError(f"table fails {check.name} at {check.counterexample}")
 
@@ -266,11 +266,13 @@ class Semiring:
         """Every atom of a chain, boolean or table carrier, built once."""
         return tuple(Atom(i) for i in range(self.size))
 
-    def trunc_grid(self, denom: int) -> tuple[int, int, int, int]:
-        """(steps, base, step, den) of the sampling grid of [x, y], all integers.
+    def trunc_grid(self, denom: int) -> tuple[int, int, int, int, dict[int, Scalar]]:
+        """(steps, base, step, den, points) of the sampling grid of [x, y].
 
         steps = ceil((y-x)*denom), and grid point t = 0..steps is
-        x + t*(y-x)/steps = (base + t*step)/den.  Kept per denominator.
+        x + t*(y-x)/steps = (base + t*step)/den, all integers.  ``points``
+        starts empty and is filled by the sampler, from t to the value of
+        point t, as points are drawn.  Kept per denominator.
         """
         grid = self._grids.get(denom)
         if grid is None:
@@ -279,15 +281,15 @@ class Semiring:
             spacing = width / steps
             den = math.lcm(self.x.denominator, spacing.denominator)
             # den is a multiple of both denominators, so both products are integers
-            grid = self._grids[denom] = (steps, int(self.x * den), int(spacing * den), den)
+            grid = self._grids[denom] = (steps, int(self.x * den), int(spacing * den), den, {})
         return grid
 
     @cached_property
-    def _grids(self) -> dict[int, tuple[int, int, int, int]]:
+    def _grids(self) -> dict[int, tuple[int, int, int, int, dict[int, Scalar]]]:
         """The grids of ``trunc_grid`` by denominator.
 
-        A grid is a pure function of the descriptor, so threads that race to
-        fill one entry store equal values.
+        A grid and its points are pure functions of the descriptor, so
+        threads that race to fill one entry store equal values.
         """
         return {}
 
@@ -664,11 +666,31 @@ def check_laws(laws: Sequence[Law], cases: Iterable[tuple]) -> tuple[Check, ...]
     return tuple(Check(law.name, law.name not in failures, failures.get(law.name)) for law in laws)
 
 
+def _check_on_every_case(laws: Sequence[Law], carrier: Sequence) -> tuple[Check, ...]:
+    """``check_laws`` of ``semiring_laws`` on every case over a finite carrier.
+
+    Each law reads exactly the positions its counterexample keeps, so a law
+    of (a, b) runs on the n^2 pairs, not the n^3 triples.  Its first failing
+    pair in lexicographic order is the (a, b) of its first failing triple,
+    so every counterexample is the one the triples give.
+    """
+    by_arity: dict[int, list[Law]] = {}
+    for law in laws:
+        by_arity.setdefault(len(law.keep), []).append(law)
+    checks = {
+        check.name: check
+        for arity, group in by_arity.items()
+        for check in check_laws(group, itertools.product(carrier, repeat=arity))
+    }
+    return tuple(checks[law.name] for law in laws)
+
+
 def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law, ...]:
     """The bipotent semiring laws on a case (a, b, c), in report order.
 
     The order is the one addition defines (a <= b iff a + b = b), and
-    ``mul_comm`` is a law only where the product claims to commute.
+    ``mul_comm`` is a law only where the product claims to commute.  A law
+    of two variables also takes the case (a, b).
     """
 
     def leq(a, b):
@@ -680,37 +702,34 @@ def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law,
 
     laws = [
         Law("add_assoc", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), (0, 1, 2)),
-        Law("add_comm", lambda a, b, c: add(a, b) == add(b, a), (0, 1)),
-        Law("add_bipotent", lambda a, b, c: add(a, b) in (a, b), (0, 1)),
+        Law("add_comm", lambda a, b, *_: add(a, b) == add(b, a), (0, 1)),
+        Law("add_bipotent", lambda a, b, *_: add(a, b) in (a, b), (0, 1)),
         Law("mul_assoc", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)), (0, 1, 2)),
         Law("dist_left", lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (0, 1, 2)),
         Law("dist_right", lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), (0, 1, 2)),
         Law("order_compat_mul", order_compat_mul, (0, 1, 2)),
     ]
     if commutative:
-        laws.insert(4, Law("mul_comm", lambda a, b, c: mul(a, b) == mul(b, a), (0, 1)))
+        laws.insert(4, Law("mul_comm", lambda a, b, *_: mul(a, b) == mul(b, a), (0, 1)))
     return tuple(laws)
 
 
 def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomReport:
-    """Verify ``semiring_laws`` on all triples or on sampled ones: each law's first counterexample."""
+    """Verify ``semiring_laws`` on every case or on sampled triples: each law's first counterexample."""
+    laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
             raise InfeasibleExhaustive(f"{desc.family} has an infinite carrier")
-        triples = itertools.product(carrier, repeat=3)
-        mode_name = "exhaustive"
-    else:
-        from .sampling import derive_rng, sample_scalar
+        return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, carrier))
+    from .sampling import derive_rng, sample_scalar
 
-        rng = derive_rng(mode.seed, "check_axioms", desc.family)
-        triples = (
-            (sample_scalar(desc, rng), sample_scalar(desc, rng), sample_scalar(desc, rng))
-            for _ in range(mode.trials)
-        )
-        mode_name = "sampled"
-    laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
-    return AxiomReport(desc, mode_name, check_laws(laws, triples))
+    rng = derive_rng(mode.seed, "check_axioms", desc.family)
+    triples = (
+        (sample_scalar(desc, rng), sample_scalar(desc, rng), sample_scalar(desc, rng))
+        for _ in range(mode.trials)
+    )
+    return AxiomReport(desc, "sampled", check_laws(laws, triples))
 
 
 # -- the 3-element semiring that admits no identity --------------------------

@@ -232,6 +232,9 @@ _MALFORMED_INPUTS = {
     "input_is_a_directory": lambda tmp: ["product", "--input", str(tmp)],
     "input_not_utf8": _bad_bytes,
     "out_in_missing_directory": lambda tmp: ["witness", "u3_nmax", "--m", "2", "--out", str(tmp / "no" / "w.json")],
+    "product_without_input": lambda tmp: ["product"],
+    "permute_without_input": lambda tmp: ["permute"],
+    "quotient_without_input": lambda tmp: ["quotient", "--inline", '{"family":"chain","size":4}'],
 }
 
 

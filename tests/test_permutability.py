@@ -7,10 +7,10 @@ from itertools import permutations
 
 import pytest
 
-from bipermute import permutability
+from bipermute import matrices, permutability
 from bipermute.constructions import witness_M3_trunc, witness_U3_Nmax, witness_U3_negNmax
-from bipermute.errors import CapExceeded, DomainError, LengthMismatch
-from bipermute.matrices import FULL, UNI, Matrix, _row_kernel, mat_mul, seq_product
+from bipermute.errors import BipermuteError, CapExceeded, DomainError, LengthMismatch
+from bipermute.matrices import FULL, UNI, UT, Matrix, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from bipermute.permutability import (
     _exhaustive_search,
     Found,
@@ -449,3 +449,117 @@ def test_weak_bound_refuses_n_3_and_up_at_once():
     for n in (3, 4, 10**6):
         with pytest.raises(DomainError, match="n <= 2"):
             weak_bound(n)
+
+
+# -- the transposition path of _verified ----------------------------------------
+
+
+_SWAP_K = 200
+# j below, on and past the checkpoint boundaries, and at the ends
+_SWAP_JS = (1, 2, 62, 63, 64, 65, 66, 127, 128, 129, 130, 191, 192, 193, _SWAP_K - 2, _SWAP_K - 1)
+
+
+_SWAP_PAIRS = sorted({(i, j) for j in _SWAP_JS for i in (0, 1, j // 2, j - 2, j - 1) if 0 <= i < j})
+_PLANTED = ((0, 63), (1, 64), (64, 128), (62, _SWAP_K - 1))  # equal pairs
+
+
+def _order_sensitive_uni(t, rng):
+    """A unitriangular tropical factor at position t.  Entry (0, 2) of a
+    product is the greatest a01 + b12 over ordered pairs of factors, so
+    factors with a01 = t and a12 = -t change it when they swap, and factors
+    that carry only a small a02 commute with every factor."""
+    if rng.randrange(2):
+        v, w, u = t, -t, NEG_INF
+    else:
+        v, w, u = NEG_INF, NEG_INF, -1000 - rng.randrange(100)
+    return Matrix.make(tropical(), UNI, [[ADJOINED_ID, v, u], [NEG_INF, ADJOINED_ID, w], [NEG_INF, NEG_INF, ADJOINED_ID]])
+
+
+def _swap_sequences():
+    """Random factors at every swapped position and the identity elsewhere,
+    so that long products do not saturate and some swaps change them."""
+    rng = derive_rng(14, "swap-path")
+    active = {t for pair in _SWAP_PAIRS for t in pair}
+    for desc, n, family in ((chain(40), 2, FULL), (trunc(1, 2), 2, FULL), (tropical(), 2, FULL),
+                            (tropical(), 3, UNI)):
+        one, zero = desc.identity_element(), desc.zero_element()
+        diagonal = ADJOINED_ID if family == UNI else one
+        identity = Matrix.make(desc, family, [[diagonal if x == y else zero for y in range(n)] for x in range(n)])
+        seq = [identity] * _SWAP_K
+        for t in sorted(active):
+            seq[t] = _order_sensitive_uni(t, rng) if family == UNI else sample_matrix(desc, n, rng, family)
+        for i, j in _PLANTED:
+            seq[j] = seq[i]
+        yield f"{desc.family}/{family}", seq
+
+
+def test_swap_decisions_agree_with_the_permuted_product():
+    """Both ways a swap is handed to ``_verified`` (the parts a ladder rung
+    holds, and the parts rebuilt from right-to-left checkpoints) decide
+    exactly what multiplying out the permuted sequence decides."""
+    for label, seq in _swap_sequences():
+        target = seq_product(seq)
+        total, checkpoints = permutability._checkpointed_total(seq)
+        assert total == target
+        assert sorted(checkpoints) == list(range(0, _SWAP_K, permutability._SUFFIX_CHECKPOINT))
+        prefixes, suffixes = prefix_suffix_products(seq)
+        outcomes = []
+        for i, j in _SWAP_PAIRS:
+            perm = transposition(_SWAP_K, i, j)
+            expected = apply_perm_product(seq, perm) == target
+            held = permutability._Swap(i, j, prefixes[i], _combine_plain(seq[i + 1:j]),
+                                       suffixes[j + 1] if j + 1 < _SWAP_K else None)
+            rebuilt = permutability._swap_at(seq, checkpoints, i, j)
+            for candidate in (held, rebuilt):
+                hit = permutability._verified(seq, target, candidate, "s")
+                assert (hit is not None) == expected, (label, i, j)
+                if hit is not None:
+                    assert hit == Found(perm, perm_kind(perm), "s")
+            outcomes.append(expected)
+        assert outcomes.count(True) >= 5 and outcomes.count(False) >= 3, label
+
+
+def _combine_plain(parts):
+    return seq_product(parts) if parts else None
+
+
+def _count_products(monkeypatch):
+    """Count every matrix product, through the permutability module or not."""
+    calls = []
+
+    def counting_mat_mul(a, b):
+        calls.append(None)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(matrices, "mat_mul", counting_mat_mul)
+    return calls
+
+
+def test_an_equal_pair_costs_no_product(monkeypatch):
+    rng = derive_rng(15, "equal-pair-free")
+    seq = [sample_matrix(trunc(1, 3), 2, rng) for _ in range(300)]
+    seq[250] = seq[40]
+    calls = _count_products(monkeypatch)
+    w = find_preserving_permutation(seq, SearchPolicy(try_all_transpositions=False))
+    assert w == Found(transposition(300, 40, 250), "transposition", "equal_pair")
+    assert calls == []
+
+
+_MISMATCHES = {
+    "dimension": lambda a, rng: sample_matrix(a.semiring, 3, rng),
+    "semiring": lambda a, rng: sample_matrix(trunc(1, 2), 2, rng),
+    "family": lambda a, rng: sample_matrix(a.semiring, 2, rng, UT),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MISMATCHES))
+def test_a_mixed_sequence_with_an_equal_pair_raises_what_seq_product_raises(kind):
+    rng = derive_rng(16, "mixed", kind)
+    a, b = (sample_matrix(nat_max(adjoined_zero=True), 2, rng) for _ in range(2))
+    seq = [a, b, a, _MISMATCHES[kind](a, rng)]
+    with pytest.raises(BipermuteError) as expected:
+        seq_product(seq)
+    with pytest.raises(BipermuteError) as got:
+        find_preserving_permutation(seq)
+    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)

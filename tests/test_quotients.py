@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bipermute import matrices, permutability
 from bipermute.errors import DomainError, InfeasibleExhaustive, LengthTooShort, PatternMismatch
 from bipermute.matrices import FULL, Matrix, mat_mul, seq_product
 from bipermute.permutability import Found, apply_perm_product
@@ -300,3 +301,24 @@ def test_xperm_never_falls_through_at_bound():
         seq = [smat(desc, sample_scalar(desc, rng), sample_scalar(desc, rng)) for _ in range(k)]
         w = xperm_find(seq)  # CaseFallthrough would raise
         assert isinstance(w, Found)
+
+
+def test_kerperm_find_swap_takes_one_pass_and_o_j_more_products(monkeypatch):
+    # the total right to left (k - 1 products), then the swap (i, j) from
+    # the prefix, the middle and a suffix rebuilt from its checkpoint
+    rng = derive_rng(37, "kerperm-count")
+    desc = chain(40)
+    k = kerperm_bound(chain_class_bound(2), 2)
+    seq = [sample_matrix(desc, 2, rng) for _ in range(k)]
+    calls = []
+
+    def counting_mat_mul(a, b):
+        calls.append(None)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(matrices, "mat_mul", counting_mat_mul)
+    w = kerperm_find_swap(seq)
+    i, j = [t for t, v in enumerate(w.perm) if v != t]
+    assert w.strategy == "kernel_pair"
+    assert k - 1 < len(calls) <= (k - 1) + j + 64 + 3
