@@ -14,13 +14,11 @@ from .matrices import (
     UNI,
     UT,
     Matrix,
-    mat_add,
     mat_mul,
     pad_sequence,
     prefix_suffix_products,
     project_topleft,
     seq_product,
-    unitriangular_to_genuine,
 )
 from .permutability import (
     Found,
@@ -40,7 +38,6 @@ from .quotients import (
     chain_congruence,
     kerperm_bound,
     kerperm_find_swap,
-    min_entry_case_bound,
     protecting_congruence,
     trunc12_congruence,
     truncperm_bound,

@@ -207,8 +207,10 @@ def _bicyclic_pairs(obj) -> list:
 
 def _cmd_quotient(args):
     desc = _load_semiring(args)
-    protected = [scalar_from_json(v) for v in _load_json(args.input)]
-    quotient = protecting_congruence(desc, protected)
+    values = _load_json(args.input)
+    if not isinstance(values, list):
+        raise ParseError("quotient input must be a JSON list of scalars")
+    quotient = protecting_congruence(desc, [scalar_from_json(v) for v in values])
     verification = verify_congruence(quotient, _check_mode(args, desc, 2000))
     fields = {"quotient": quotient_to_json(quotient), "classes": len(quotient.classes)}
     return {**fields, "verification": check_report_to_json(verification)}, verification.passed

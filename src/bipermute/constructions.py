@@ -33,9 +33,6 @@ class BicyclicElement:
             raise BadParams("exponents must be non-negative")
 
 
-BICYCLIC_IDENTITY = BicyclicElement(0, 0)
-
-
 def bicyclic_mul(u: BicyclicElement, v: BicyclicElement) -> BicyclicElement:
     """(q^i p^j)(q^k p^l): the inner p^j q^k cancels to a single leftover power."""
     return BicyclicElement(u.i + max(v.i - u.j, 0), v.j + max(u.j - v.i, 0))

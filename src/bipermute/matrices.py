@@ -29,7 +29,7 @@ from .errors import (
     SemiringMismatch,
 )
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
-from .semirings import Semiring, _with_adjoined_id, same_semiring
+from .semirings import Semiring, same_semiring
 
 FULL = "full"
 UT = "ut"
@@ -178,18 +178,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.semiring, a.family, tuple([kernel(i, row, cols) for i, row in enumerate(a.entries)]))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise maximum (unoptimized; products are the primary operation)."""
-    _check_pair(a, b)
-    add = a.semiring._add
-    if a.family == UNI:
-        add = partial(_with_adjoined_id, add)  # the diagonal is 1 + 1
-    rows = tuple(
-        tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-    )
-    return Matrix(a.semiring, a.family, rows)
-
-
 def seq_product(seq: Sequence[Matrix]) -> Matrix:
     """Left-associated product of a non-empty uniform sequence."""
     if not seq:
@@ -220,24 +208,6 @@ def prefix_suffix_products(seq: Sequence[Matrix]) -> tuple[list[Optional[Matrix]
         acc = mat_mul(seq[i], acc)
         suffixes[i] = acc
     return prefixes, suffixes
-
-
-def unitriangular_to_genuine(a: Matrix) -> Matrix:
-    """Rewrite a unitriangular matrix with the semiring's own identity element.
-
-    The diagonal sentinel is only a notational device; over a semiring that
-    has a genuine identity (and a genuine zero) the same matrix lives in the
-    upper triangular family, and products commute with this rewriting.
-    """
-    if a.family != UNI:
-        raise DomainError("only unitriangular matrices can be normalized")
-    one = a.semiring.identity_element()
-    if one is None or a.semiring.adjoined_zero:
-        raise DomainError(f"{a.semiring.family} has no genuine identity/zero to normalize to")
-    rows = tuple(
-        tuple(one if v is ADJOINED_ID else v for v in row) for row in a.entries
-    )
-    return Matrix(a.semiring, UT, rows)
 
 
 def project_topleft(a: Matrix, m: int) -> Matrix:

@@ -53,10 +53,10 @@ class Singleton:
 
 @dataclass(frozen=True)
 class Interval:
-    """An order interval of the carrier; None endpoints mean unbounded."""
+    """The carrier elements between ``lo`` and ``hi``, each end open or closed."""
 
-    lo: Optional[Scalar]
-    hi: Optional[Scalar]
+    lo: Scalar
+    hi: Scalar
     lo_open: bool = False
     hi_open: bool = False
 
@@ -68,19 +68,14 @@ def _contains(desc: Semiring, cls: ClassDesc, a: Scalar) -> bool:
     if isinstance(cls, Singleton):
         return a == cls.value
     leq = desc._leq
-    if cls.lo is not None:
-        if cls.lo_open:
-            if leq(a, cls.lo):
-                return False
-        elif not leq(cls.lo, a):
+    if cls.lo_open:
+        if leq(a, cls.lo):
             return False
-    if cls.hi is not None:
-        if cls.hi_open:
-            if leq(cls.hi, a):
-                return False
-        elif not leq(a, cls.hi):
-            return False
-    return True
+    elif not leq(cls.lo, a):
+        return False
+    if cls.hi_open:
+        return not leq(cls.hi, a)
+    return leq(a, cls.hi)
 
 
 def _class_index(desc: Semiring, classes: Sequence[ClassDesc], a: Scalar) -> int:
@@ -251,32 +246,19 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
     desc = q.source
     add, mul, cls = desc._add, desc._mul, q.class_of
 
-    def table_consistent(a, b, c):
-        try:
-            ca, cc = cls(a), cls(c)
-            return cls(mul(a, c)) == q.tables.mul[ca][cc] and cls(add(a, c)) == q.tables.add[ca][cc]
-        except IndexError:  # corrupted quotient: tables smaller than the class list
-            return False
-
-    partition = Law("partition", lambda a: sum(1 for k in q.classes if _contains(desc, k, a)) == 1, (0,))
-    pair_laws = (
-        Law("add_congruence", lambda a, b, c: cls(add(a, c)) == cls(add(b, c)), (0, 1, 2)),
-        Law(
-            "mul_congruence",
-            lambda a, b, c: cls(mul(a, c)) == cls(mul(b, c)) and cls(mul(c, a)) == cls(mul(c, b)),
-            (0, 1, 2),
-        ),
-        Law("table_consistency", table_consistent, (0, 2)),
-    )
-
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
             raise InfeasibleExhaustive("carrier is infinite; use sampled verification")
         points = [(a,) for a in carrier]
+        # the carrier is closed under both operations, so the laws below only
+        # ever ask for the class of a carrier element: look each one up once
+        class_of: dict[Scalar, int] = {}
         index: dict[int, list[Scalar]] = {}
         for a in carrier:
-            index.setdefault(cls(a), []).append(a)
+            class_of[a] = k = cls(a)
+            index.setdefault(k, []).append(a)
+        cls = class_of.__getitem__
         triples = ((a, b, c) for members in index.values() for a in members for b in members for c in carrier)
         mode_name = "exhaustive"
     elif isinstance(mode, Sampled):
@@ -295,6 +277,23 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
     else:
         raise DomainError(f"unknown verification mode {mode!r}")
 
+    def table_consistent(a, b, c):
+        try:
+            ca, cc = cls(a), cls(c)
+            return cls(mul(a, c)) == q.tables.mul[ca][cc] and cls(add(a, c)) == q.tables.add[ca][cc]
+        except IndexError:  # corrupted quotient: tables smaller than the class list
+            return False
+
+    partition = Law("partition", lambda a: sum(1 for k in q.classes if _contains(desc, k, a)) == 1, (0,))
+    pair_laws = (
+        Law("add_congruence", lambda a, b, c: cls(add(a, c)) == cls(add(b, c)), (0, 1, 2)),
+        Law(
+            "mul_congruence",
+            lambda a, b, c: cls(mul(a, c)) == cls(mul(b, c)) and cls(mul(c, a)) == cls(mul(c, b)),
+            (0, 1, 2),
+        ),
+        Law("table_consistency", table_consistent, (0, 2)),
+    )
     return CongruenceReport(mode_name, check_laws((partition,), points) + check_laws(pair_laws, triples))
 
 
@@ -340,7 +339,7 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     if len(seq) < required:
         raise LengthTooShort(f"need at least {required} matrices, got {len(seq)}")
 
-    pair = _first_repeat(tuple(tuple(q.class_of(v) for v in row) for row in m.entries) for m in seq)
+    pair = _first_repeat(q.kernel_image(m) for m in seq)
     if pair is None:
         raise NoPairFound("pigeonhole violated: no equal-image pair (implementation bug)")
     hit = _verified(seq, total, _swap_at(seq, checkpoints, *pair), "kernel_pair")
@@ -355,11 +354,6 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
 def xperm_bound(z: Rational) -> int:
     """Tuple length at which the triangular-pattern subsemigroups always permute."""
     return 2 * math.ceil(Fraction(z)) + 5
-
-
-def min_entry_case_bound(z: Rational) -> int:
-    """Length constant of the minimal-entry case analysis for 2x2 truncated matrices."""
-    return 17 * (16 * math.ceil(Fraction(z)) + 45)
 
 
 def truncperm_bound(z: Rational) -> int:

@@ -105,13 +105,6 @@ class FiniteSemiringTable:
                 return z
         return None
 
-    @cached_property
-    def identity_index(self) -> Optional[int]:
-        for e in range(self.size):
-            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(self.size)):
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class Semiring:
@@ -158,22 +151,6 @@ class Semiring:
                 return Atom(z)
         if self.adjoined_zero:
             return NEG_INF
-        return None
-
-    def identity_element(self) -> Optional[Scalar]:
-        f = self.family
-        if f in (TROPICAL, TRUNC):
-            return 0
-        if f in (CHAIN, BOOLEAN):
-            return Atom(self.size - 1)
-        if f == TRUNC_NAT and self.k == 1:
-            return 1
-        if f == TRUNC_NEG_NAT and self.k == 1:
-            return -1
-        if f == TABLE:
-            e = self.table.identity_index
-            if e is not None:
-                return Atom(e)
         return None
 
     @property

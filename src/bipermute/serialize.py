@@ -171,10 +171,6 @@ def witness_to_json(w: PermutationWitness) -> dict:
     raise ParseError(f"not a witness: {w!r}")
 
 
-def _bound_to_json(v) -> Optional[object]:
-    return None if v is None else scalar_to_json(v)
-
-
 def quotient_to_json(q: CongruenceQuotient) -> dict:
     classes = []
     for cls in q.classes:
@@ -184,8 +180,8 @@ def quotient_to_json(q: CongruenceQuotient) -> dict:
             classes.append(
                 {
                     "kind": "interval",
-                    "lo": _bound_to_json(cls.lo),
-                    "hi": _bound_to_json(cls.hi),
+                    "lo": scalar_to_json(cls.lo),
+                    "hi": scalar_to_json(cls.hi),
                     "lo_open": cls.lo_open,
                     "hi_open": cls.hi_open,
                 }

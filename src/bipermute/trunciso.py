@@ -59,9 +59,6 @@ class PiecewiseLinearMap:
 
     segments: tuple[Segment, ...]
 
-    def is_identity(self) -> bool:
-        return all(s.slope == 1 and s.intercept == 0 for s in self.segments)
-
 
 CANON_01 = "T01"
 CANON_12 = "T12"

@@ -235,6 +235,10 @@ _MALFORMED_INPUTS = {
     "product_without_input": lambda tmp: ["product"],
     "permute_without_input": lambda tmp: ["permute"],
     "quotient_without_input": lambda tmp: ["quotient", "--inline", '{"family":"chain","size":4}'],
+    "quotient_input_is_a_number": lambda tmp: [
+        "quotient", "--inline", '{"family":"chain","size":4}', "--input", write(tmp / "x.json", 5)],
+    "quotient_input_is_an_object": lambda tmp: [
+        "quotient", "--inline", '{"family":"chain","size":4}', "--input", write(tmp / "x.json", {"atom": 1})],
 }
 
 
@@ -373,14 +377,22 @@ _PINNED_REPORTS = {
 }
 
 
+# the quotient above is checked by sampling; this one checks every element of its carrier
+_PINNED = {**_PINNED_REPORTS, "quotient_exhaustive": (
+    lambda tmp: ["quotient", "--inline", '{"family":"chain","size":10}',
+                 "--input", write(tmp / "x.json", [{"atom": 3}, {"atom": 7}])],
+    "aa305d0e8560595aabf0771ae04de02b677ed65f05f4db641ccc05845cf7537e",
+    _NOTHING, 0)}
+
+
 def test_pinned_reports_cover_every_command():
     assert list(_PINNED_REPORTS) == list(cli.COMMANDS)
 
 
-@pytest.mark.parametrize("command", list(_PINNED_REPORTS))
+@pytest.mark.parametrize("command", list(_PINNED))
 def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command):
     monkeypatch.delenv("BIPERMUTE_SEED", raising=False)
-    make_argv, out_sha, err_sha, code = _PINNED_REPORTS[command]
+    make_argv, out_sha, err_sha, code = _PINNED[command]
     capsys.readouterr()
     assert main(make_argv(tmp_path)) == code
     captured = capsys.readouterr()

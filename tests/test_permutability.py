@@ -480,10 +480,9 @@ def _swap_sequences():
     so that long products do not saturate and some swaps change them."""
     rng = derive_rng(14, "swap-path")
     active = {t for pair in _SWAP_PAIRS for t in pair}
-    for desc, n, family in ((chain(40), 2, FULL), (trunc(1, 2), 2, FULL), (tropical(), 2, FULL),
-                            (tropical(), 3, UNI)):
-        one, zero = desc.identity_element(), desc.zero_element()
-        diagonal = ADJOINED_ID if family == UNI else one
+    for desc, n, family, diagonal in ((chain(40), 2, FULL, Atom(39)), (trunc(1, 2), 2, FULL, 0),
+                                      (tropical(), 2, FULL, 0), (tropical(), 3, UNI, ADJOINED_ID)):
+        zero = desc.zero_element()
         identity = Matrix.make(desc, family, [[diagonal if x == y else zero for y in range(n)] for x in range(n)])
         seq = [identity] * _SWAP_K
         for t in sorted(active):

@@ -16,7 +16,6 @@ from bipermute.quotients import (
     chain_congruence,
     kerperm_bound,
     kerperm_find_swap,
-    min_entry_case_bound,
     protecting_congruence,
     trunc12_class_bound,
     trunc12_congruence,
@@ -236,7 +235,6 @@ def smat(desc, a, b):
 def test_xperm_bounds():
     assert xperm_bound(3) == 11
     assert xperm_bound(F(5, 2)) == 11
-    assert min_entry_case_bound(3) == 17 * 93
     assert truncperm_bound(3) == 20553
 
 
