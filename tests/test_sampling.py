@@ -8,9 +8,30 @@ import pytest
 
 from bipermute.errors import DomainError
 from bipermute.matrices import FULL, UNI, UT
-from bipermute.sampling import DEFAULT_SEED, derive_rng, sample_matrix, sample_trunc_value
+from dataclasses import replace
+
+from bipermute.quotients import trunc12_congruence
+from bipermute.sampling import (
+    DEFAULT_SEED,
+    derive_rng,
+    sample_matrix,
+    sample_proper_scalar,
+    sample_scalar,
+    sample_trunc_value,
+)
 from bipermute.scalars import scalar_to_json
-from bipermute.semirings import chain, nat_max, tropical, trunc
+from bipermute.semirings import (
+    boolean,
+    chain,
+    nat_max,
+    neg_nat_max,
+    noidentity_table,
+    table_semiring,
+    tropical,
+    trunc,
+    trunc_nat,
+    trunc_neg_nat,
+)
 
 
 def reference_trunc_value(desc, rng, denom):
@@ -89,3 +110,79 @@ def _stream_digest():
 def test_seeded_streams_are_pinned():
     # digest of the Fraction-arithmetic sampler these streams were first drawn with
     assert _stream_digest() == "e5c2848ef9b354dd1bbac568e761dcbe54a0d6daf999464b9ff6e1faf713704e"
+
+
+def _typed(v):
+    return type(v).__name__, scalar_to_json(v)
+
+
+def _carriers():
+    """One descriptor of every sampled family, with and without an adjoined zero."""
+    return {
+        "tropical": tropical(),
+        "trunc13": trunc(1, 3),
+        "trunc_frac": trunc(F(1, 3), F(7, 5)),
+        "nat_max": nat_max(),
+        "nat_max0": nat_max(adjoined_zero=True),
+        "neg_nat_max": neg_nat_max(),
+        "neg_nat_max0": neg_nat_max(adjoined_zero=True),
+        "trunc_nat5": trunc_nat(5),
+        "trunc_nat1": trunc_nat(1),
+        "trunc_nat5_0": replace(trunc_nat(5), adjoined_zero=True),
+        "trunc_neg_nat5": trunc_neg_nat(5),
+        "chain40": chain(40),
+        "chain40_0": replace(chain(40), adjoined_zero=True),
+        "boolean": boolean(),
+        "noidentity": table_semiring(noidentity_table()),
+        "noidentity0": table_semiring(noidentity_table(), adjoined_zero=True),
+        "trunc12_quotient": table_semiring(trunc12_congruence([F(3, 2)]).tables),
+    }
+
+
+def _families(desc):
+    """The matrix families a carrier's zero allows."""
+    return (FULL,) if desc.zero_element() is None else (FULL, UT, UNI)
+
+
+def _wider_stream_digest():
+    """SHA-256 of the streams the first pin leaves out, and of the generator state after each.
+
+    Matrix streams of every family each carrier's zero allows, then direct
+    scalar streams at grid denominators 1, 7 and 64.  Hashing ``getstate()``
+    makes a change in the bits consumed fail even where the values agree.
+    """
+    h = hashlib.sha256()
+
+    def stream(label, draw, count):
+        rng = derive_rng(DEFAULT_SEED, "test_sampling", "wider", label)
+        h.update(label.encode())
+        for _ in range(count):
+            h.update(repr(draw(rng)).encode())
+        h.update(repr(rng.getstate()).encode())
+
+    carriers = _carriers()
+    for name in ("boolean", "noidentity", "noidentity0", "trunc12_quotient", "trunc_nat5",
+                 "trunc_nat1", "trunc_nat5_0", "trunc_neg_nat5", "neg_nat_max", "neg_nat_max0",
+                 "tropical", "chain40_0"):
+        desc = carriers[name]
+        for family in _families(desc):
+            if name == "tropical" and family == FULL:
+                continue  # in the first pin
+            for n in (2, 3):
+                stream(f"{name}_{family}_{n}",
+                       lambda rng: [[_typed(v) for v in row]
+                                    for row in sample_matrix(desc, n, rng, family).entries], 100)
+    for denom in (1, 7, 64):
+        for name, desc in carriers.items():
+            stream(f"scalar_{name}_{denom}", lambda rng: _typed(sample_scalar(desc, rng, denom)), 200)
+            stream(f"proper_{name}_{denom}",
+                   lambda rng: _typed(sample_proper_scalar(desc, rng, denom)), 200)
+        for name in ("trunc13", "trunc_frac"):
+            stream(f"trunc_value_{name}_{denom}",
+                   lambda rng: _typed(sample_trunc_value(carriers[name], rng, denom)), 200)
+    return h.hexdigest()
+
+
+def test_wider_streams_and_generator_states_are_pinned():
+    # digest of the randrange/randint/choice sampler these streams were first drawn with
+    assert _wider_stream_digest() == "944bfa1ba005fefdfd9e163592f0136b1506663b0b424eb47688d32cceab6856"
