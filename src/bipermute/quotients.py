@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -105,13 +106,17 @@ class CongruenceQuotient:
         return _class_index(self.source, self.classes, a)
 
     def quotient_semiring(self) -> Semiring:
+        return self._semiring
+
+    @cached_property
+    def _semiring(self) -> Semiring:
+        """Built once, so every kernel image shares one descriptor."""
         return table_semiring(self.tables)
 
     def kernel_image(self, m: Matrix) -> Matrix:
         """The induced matrix homomorphism: apply class_of entrywise."""
-        target = self.quotient_semiring()
         rows = tuple(tuple(Atom(self.class_of(v)) for v in row) for row in m.entries)
-        return Matrix(target, m.family, rows)
+        return Matrix(self._semiring, m.family, rows)
 
 
 def _build_quotient(source: Semiring, classes: Sequence[ClassDesc], reps: Sequence[Scalar]) -> CongruenceQuotient:

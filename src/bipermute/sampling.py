@@ -5,21 +5,25 @@ Reproducibility discipline: every independent random stream is a
 tuple of string labels, hashed with SHA-256.  Two runs with the same root
 seed and labels produce identical streams regardless of call order.
 
-A draw is one generator call plus integer arithmetic: each descriptor
-computes its truncation grids (integer numerators over one denominator) and
-its atoms once and keeps them, and a grid keeps each point's value once it
-has been drawn (trunc(1,2) has 65 points at the default denominator).  Draws
-keep the values, the types and the generator consumption of the plain
-``Fraction`` formulas stated below.
+A draw costs its random bits plus integer arithmetic.  A descriptor builds one
+drawer per grid denominator on first use and keeps it: each range size with
+its bit length, the truncation grid (integer numerators over one denominator,
+each point's value kept once drawn) and the atoms.  A bounded draw is
+``getrandbits(n.bit_length())`` until the result is below n, as
+``randrange(n)``, ``randint`` and ``choice`` make it, so draws keep the values,
+types and generator consumption of the plain formulas stated below.  Sampled
+matrices hold carrier elements by construction and skip validation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import BadDimension, DomainError
 from .matrices import FULL, UNI, UT, Matrix
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
 from .semirings import (
@@ -38,6 +42,10 @@ from .semirings import (
 DEFAULT_SEED = 1729  # the documented default seed for every CLI entry point
 DEFAULT_GRID_DENOMINATOR = 64
 SENTINEL_WEIGHT = 8  # each sentinel drawn with probability 1/8
+_ROLL_BITS = SENTINEL_WEIGHT.bit_length()  # 4: randrange(8) draws 4 bits and rejects half
+_TROPICAL_DENOMINATORS = (1, 1, 2, 3, 4, 8, 64)
+
+Draw = Callable[[Callable[[int], int]], Scalar]  # a draw from ``rng.getrandbits``
 
 
 def derive_rng(seed: int, *labels: str) -> random.Random:
@@ -52,75 +60,118 @@ def _ratio(num: int, den: int) -> Scalar:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def _uniform(values: Sequence[Scalar]) -> Draw:
+    """values[randrange(len(values))], by CPython's ``Random._randbelow_with_getrandbits`` inlined."""
+    n = len(values)
+    k = n.bit_length()
+
+    def draw(bits):
+        while (r := bits(k)) >= n:
+            pass
+        return values[r]
+
+    return draw
+
+
+def _or_neg_inf(proper: Draw) -> Draw:
+    """-inf if randrange(8) == 0, else a draw of ``proper``."""
+    roll = _uniform(range(SENTINEL_WEIGHT))
+    return lambda bits: NEG_INF if roll(bits) == 0 else proper(bits)
+
+
+def _build_drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
+    """The (scalar, grid value) draws of ``desc``, each the plain formula it names, bit for bit."""
+    f = desc.family
+    if f == TRUNC:
+        # grid point t = 0..steps of [x, y] is x + t*(y-x)/steps = (base + t*step)/den
+        width = desc.y - desc.x
+        steps = max(1, -int(-width * denom // 1))  # ceil((y-x)*denom)
+        spacing = width / steps
+        den = math.lcm(desc.x.denominator, spacing.denominator)
+        base, step, n = int(desc.x * den), int(spacing * den), steps + 1
+        k, points = n.bit_length(), {}
+
+        def value(bits):
+            """The grid point randint(0, steps), as ``_uniform`` draws it but inlined; each value built once."""
+            while (t := bits(k)) >= n:
+                pass
+            v = points.get(t)
+            if v is None:
+                v = points[t] = _ratio(base + t * step, den)
+            return v
+
+        def scalar(bits):
+            """roll = randrange(8): -inf on 0, the zero 0 on 1, else a grid value."""
+            while (r := bits(_ROLL_BITS)) >= SENTINEL_WEIGHT:
+                pass
+            return value(bits) if r > 1 else 0 if r else NEG_INF
+
+        return scalar, value  # a trunc carrier's -inf is its own zero, never adjoined
+    if f == TROPICAL:
+        # -inf if randrange(8) == 0, else randint(-256, 256) / choice(_TROPICAL_DENOMINATORS)
+        num, dens = _uniform(range(-256, 257)), _uniform(_TROPICAL_DENOMINATORS)
+        scalar = _or_neg_inf(lambda bits: _ratio(num(bits), dens(bits)))
+    elif f in (CHAIN, BOOLEAN, TABLE):
+        scalar = _uniform(desc._atoms)
+    elif f in (NAT_MAX, NEG_NAT_MAX, TRUNC_NAT, TRUNC_NEG_NAT):
+        # randint(1, n) for n = 40 or k, negated for the negative families
+        n = 40 if f in (NAT_MAX, NEG_NAT_MAX) else desc.k
+        scalar = _uniform(range(-1, -n - 1, -1) if f in (NEG_NAT_MAX, TRUNC_NEG_NAT) else range(1, n + 1))
+    else:
+        raise DomainError(f"cannot sample from family {f!r}")
+    return (_or_neg_inf(scalar) if desc.adjoined_zero else scalar), None
+
+
+def _drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
+    """The drawer of ``desc`` at grid denominator ``denom``, built on first use."""
+    drawer = desc._drawers.get(denom)
+    if drawer is None:
+        drawer = desc._drawers[denom] = _build_drawer(desc, denom)
+    return drawer
+
+
 def sample_trunc_value(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
     """The grid point x + t*(y-x)/steps of [x, y], steps = ceil((y-x)*denom), exact."""
-    steps, base, step, den, points = desc.trunc_grid(denom)
-    t = rng.randint(0, steps)
-    value = points.get(t)
+    value = _drawer(desc, denom)[1]
     if value is None:
-        value = points[t] = _ratio(base + t * step, den)
-    return value
+        raise DomainError(f"{desc.family} has no truncation grid")
+    return value(rng.getrandbits)
 
 
 def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
     """Draw one carrier element; sentinels get weight 1/8 each where present."""
-    f = desc.family
-    if f == TRUNC:
-        roll = rng.randrange(SENTINEL_WEIGHT)
-        if roll == 0:
-            return NEG_INF
-        if roll == 1:
-            return 0
-        return sample_trunc_value(desc, rng, denom)
-    if desc.adjoined_zero and rng.randrange(SENTINEL_WEIGHT) == 0:
-        return NEG_INF
-    if f == TROPICAL:
-        if rng.randrange(SENTINEL_WEIGHT) == 0:
-            return NEG_INF
-        return _ratio(rng.randint(-256, 256), rng.choice((1, 1, 2, 3, 4, 8, 64)))
-    if f == NAT_MAX:
-        return rng.randint(1, 40)
-    if f == NEG_NAT_MAX:
-        return -rng.randint(1, 40)
-    if f == TRUNC_NAT:
-        return rng.randint(1, desc.k)
-    if f == TRUNC_NEG_NAT:
-        return -rng.randint(1, desc.k)
-    if f in (CHAIN, BOOLEAN, TABLE):
-        return desc._atoms[rng.randrange(desc.size)]
-    raise DomainError(f"cannot sample from family {f!r}")
+    return _drawer(desc, denom)[0](rng.getrandbits)
 
 
-def sample_proper_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
-    """A carrier element that is not a sentinel (for unitriangular entries)."""
+def _proper(desc: Semiring, draw: Draw, bits: Callable[[int], int]) -> Scalar:
     for _ in range(64):
-        s = sample_scalar(desc, rng, denom)
+        s = draw(bits)
         if s is not NEG_INF:
             return s
     raise DomainError(f"could not sample a proper element of {desc.family}")
 
 
+def sample_proper_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
+    """A carrier element that is not a sentinel (for unitriangular entries)."""
+    return _proper(desc, _drawer(desc, denom)[0], rng.getrandbits)
+
+
 def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "full",
                   denom: int = DEFAULT_GRID_DENOMINATOR) -> Matrix:
+    """An n x n matrix of ``family``, drawn row by row, built without validation."""
+    if n < 1:
+        raise BadDimension("matrix must be square and non-empty")
+    draw, bits = _drawer(desc, denom)[0], rng.getrandbits
     if family == FULL:
-        rows = [[sample_scalar(desc, rng, denom) for _ in range(n)] for _ in range(n)]
-        return Matrix.make(desc, FULL, rows)
+        return Matrix(desc, FULL, tuple([tuple([draw(bits) for _ in range(n)]) for _ in range(n)]))
     zero = desc.zero_element()
     if zero is None:
         raise DomainError(f"{desc.family} has no zero element; adjoin one first")
     if family == UT:
-        rows = [
-            [sample_scalar(desc, rng, denom) if j >= i else zero for j in range(n)]
-            for i in range(n)
-        ]
-        return Matrix.make(desc, UT, rows)
-    if family == UNI:
-        rows = [
-            [
-                ADJOINED_ID if j == i else (sample_proper_scalar(desc, rng, denom) if j > i else zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return Matrix.make(desc, UNI, rows)
-    raise DomainError(f"unknown matrix family {family!r}")
+        rows = [[draw(bits) if j >= i else zero for j in range(n)] for i in range(n)]
+    elif family == UNI:
+        rows = [[ADJOINED_ID if j == i else _proper(desc, draw, bits) if j > i else zero for j in range(n)]
+                for i in range(n)]
+    else:
+        raise DomainError(f"unknown matrix family {family!r}")
+    return Matrix(desc, family, tuple(map(tuple, rows)))

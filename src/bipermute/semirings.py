@@ -27,7 +27,6 @@ operations here, only the public ``srk_*`` ones accept it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -230,12 +229,7 @@ class Semiring:
 
     @cached_property
     def _bounds(self) -> tuple[int, int, int, int]:
-        """Numerator and denominator of x, then of y, of a truncation interval.
-
-        Cached because reading the four Fraction properties on every
-        ``validate`` costs about 260 ns more per check, roughly 5% of drawing
-        a trunc(1,3) tuple at its theorem bound.
-        """
+        """Numerator and denominator of x, then of y; cached, saving ``validate`` about 260 ns a check."""
         return self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
 
     @cached_property
@@ -243,30 +237,11 @@ class Semiring:
         """Every atom of a chain, boolean or table carrier, built once."""
         return tuple(Atom(i) for i in range(self.size))
 
-    def trunc_grid(self, denom: int) -> tuple[int, int, int, int, dict[int, Scalar]]:
-        """(steps, base, step, den, points) of the sampling grid of [x, y].
-
-        steps = ceil((y-x)*denom), and grid point t = 0..steps is
-        x + t*(y-x)/steps = (base + t*step)/den, all integers.  ``points``
-        starts empty and is filled by the sampler, from t to the value of
-        point t, as points are drawn.  Kept per denominator.
-        """
-        grid = self._grids.get(denom)
-        if grid is None:
-            width = self.y - self.x
-            steps = max(1, -int(-width * denom // 1))  # ceil((y-x)*d)
-            spacing = width / steps
-            den = math.lcm(self.x.denominator, spacing.denominator)
-            # den is a multiple of both denominators, so both products are integers
-            grid = self._grids[denom] = (steps, int(self.x * den), int(spacing * den), den, {})
-        return grid
-
     @cached_property
-    def _grids(self) -> dict[int, tuple[int, int, int, int, dict[int, Scalar]]]:
-        """The grids of ``trunc_grid`` by denominator.
+    def _drawers(self) -> dict:
+        """``sampling``'s drawers by grid denominator, each built on its first draw.
 
-        A grid and its points are pure functions of the descriptor, so
-        threads that race to fill one entry store equal values.
+        Pure functions of the descriptor: threads that race to fill an entry store equal values.
         """
         return {}
 

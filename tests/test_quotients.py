@@ -26,7 +26,7 @@ from bipermute.quotients import (
 )
 from bipermute.sampling import derive_rng, sample_matrix, sample_scalar
 from bipermute.scalars import NEG_INF, Atom
-from bipermute.semirings import Check, Exhaustive, Sampled, chain, check_axioms, tropical, trunc
+from bipermute.semirings import Check, Exhaustive, Sampled, chain, check_axioms, table_semiring, tropical, trunc
 
 
 def test_chain_congruence_layout():
@@ -156,6 +156,14 @@ def test_kernel_image_is_a_homomorphism():
         a = sample_matrix(trunc(1, 2), 2, rng)
         b = sample_matrix(trunc(1, 2), 2, rng)
         assert q.kernel_image(mat_mul(a, b)) == mat_mul(q.kernel_image(a), q.kernel_image(b))
+
+
+def test_kernel_images_of_one_quotient_share_one_semiring():
+    rng = derive_rng(38, "psi-shared")
+    q = chain_congruence(chain(40), [Atom(3), Atom(17)])
+    a, b = (q.kernel_image(sample_matrix(chain(40), 2, rng)) for _ in range(2))
+    assert a.semiring is b.semiring is q.quotient_semiring()
+    assert a.semiring == table_semiring(q.tables)
 
 
 def test_kerperm_bounds():

@@ -2,24 +2,24 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from bipermute.errors import DomainError
+from bipermute.errors import BadDimension, DomainError
 from bipermute.matrices import FULL, UNI, UT
-from dataclasses import replace
-
 from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import (
     DEFAULT_SEED,
+    _uniform,
     derive_rng,
     sample_matrix,
     sample_proper_scalar,
     sample_scalar,
     sample_trunc_value,
 )
-from bipermute.scalars import scalar_to_json
+from bipermute.scalars import NEG_INF, Atom, scalar_to_json
 from bipermute.semirings import (
     boolean,
     chain,
@@ -186,3 +186,74 @@ def _wider_stream_digest():
 def test_wider_streams_and_generator_states_are_pinned():
     # digest of the randrange/randint/choice sampler these streams were first drawn with
     assert _wider_stream_digest() == "944bfa1ba005fefdfd9e163592f0136b1506663b0b424eb47688d32cceab6856"
+
+
+def reference_scalar(desc, rng, denom):
+    """The scalar draw written with randrange, randint and choice: the oracle of the drawer."""
+    f = desc.family
+    if f == "trunc":
+        roll = rng.randrange(8)
+        return NEG_INF if roll == 0 else 0 if roll == 1 else reference_trunc_value(desc, rng, denom)
+    if desc.adjoined_zero and rng.randrange(8) == 0:
+        return NEG_INF
+    if f == "tropical":
+        if rng.randrange(8) == 0:
+            return NEG_INF
+        value = F(rng.randint(-256, 256), rng.choice((1, 1, 2, 3, 4, 8, 64)))
+        return int(value) if value.denominator == 1 else value
+    if f in ("nat_max", "neg_nat_max"):
+        return rng.randint(1, 40) * (-1 if f == "neg_nat_max" else 1)
+    if f in ("trunc_nat", "trunc_neg_nat"):
+        return rng.randint(1, desc.k) * (-1 if f == "trunc_neg_nat" else 1)
+    return Atom(rng.randrange(desc.size))
+
+
+def _grid_sizes():
+    return sorted({max(1, -int(-(F(y) - F(x)) * denom // 1)) + 1
+                   for x, y in INTERVALS for denom in (1, 2, 7, 64)})
+
+
+def test_the_generator_draws_below_n_with_getrandbits():
+    # the drawer inlines this private CPython loop; a release that changes it fails here
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+@pytest.mark.parametrize("n", sorted({8, 513, 7, 40, 2, 1, 5} | set(_grid_sizes())))
+def test_bounded_draw_matches_randrange(n):
+    """8, 513 and 7 are the sentinel roll and the tropical draws, 40, 5 and 1 the
+    integer families and k, 2, 40 and 1 the carrier sizes, then every grid size."""
+    fast = derive_rng(DEFAULT_SEED, "test_sampling", "below", str(n))
+    plain = random.Random()
+    plain.setstate(fast.getstate())
+    draw = _uniform(range(n))
+    for _ in range(2000):
+        assert draw(fast.getrandbits) == plain.randrange(n)
+        assert fast.getstate() == plain.getstate()
+
+
+@pytest.mark.parametrize("name", list(_carriers()))
+@pytest.mark.parametrize("denom", [1, 2, 7, 64])
+def test_drawn_scalars_match_the_plain_formulas(name, denom):
+    """Every inlined loop at every size it meets, as the stdlib calls it replaces draw it."""
+    desc = _carriers()[name]
+    fast = derive_rng(DEFAULT_SEED, "test_sampling", "scalar", name, str(denom))
+    plain = random.Random()
+    plain.setstate(fast.getstate())
+    for _ in range(2000):
+        got, want = sample_scalar(desc, fast, denom), reference_scalar(desc, plain, denom)
+        assert got == want and type(got) is type(want)
+        assert fast.getstate() == plain.getstate()
+
+
+@pytest.mark.parametrize("name", list(_carriers()))
+def test_sampled_matrices_are_members(name):
+    # sample_matrix builds without validating; the checks it skips still hold
+    desc = _carriers()[name]
+    rng = derive_rng(DEFAULT_SEED, "test_sampling", "members", name)
+    for family in _families(desc):
+        for n in (2, 3):
+            for _ in range(200):
+                m = sample_matrix(desc, n, rng, family)
+                assert m.family == family and m.n == n and m.is_member(), m
+    with pytest.raises(BadDimension):
+        sample_matrix(desc, 0, rng)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bipermute.errors import DomainError, InfeasibleExhaustive, NotFiniteOrder, UndefinedPartialSum
 from bipermute.quotients import trunc12_congruence
-from bipermute.sampling import derive_rng, sample_scalar
+from bipermute.sampling import derive_rng, sample_scalar, sample_trunc_value
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom
 from bipermute.semirings import (
     Exhaustive,
@@ -132,13 +132,21 @@ def test_descriptors_pickle_after_use(case):
         sample = [Atom(i) for i in range(desc.size)]
     a, b = sample[0], sample[-1]
     expected = (desc._add(a, b), desc._mul(a, b), desc._leq(a, b), desc._leq(b, a))
+
+    def stream(d, draw):
+        rng = derive_rng(3, "pickle")
+        return [draw(d, rng, 4) for _ in range(40)]
+
+    draws = stream(desc, sample_scalar)
     if desc.family == "trunc":
-        grid = desc.trunc_grid(4)
+        grid = stream(desc, sample_trunc_value)
     back = pickle.loads(pickle.dumps(desc))
     assert back == desc and back is not desc
+    assert "_drawers" not in vars(back)  # the sampler's drawers are rebuilt on the copy's first draw
     assert (back._add(a, b), back._mul(a, b), back._leq(a, b), back._leq(b, a)) == expected
+    assert stream(back, sample_scalar) == draws
     if desc.family == "trunc":
-        assert back.trunc_grid(4) == grid
+        assert stream(back, sample_trunc_value) == grid
     # and again once the copy has computed
     assert pickle.loads(pickle.dumps(back)) == desc
 
