@@ -77,7 +77,6 @@ from .trunciso import (
     PiecewiseLinearMap,
     apply_iso,
     classify_truncated,
-    distinguisher,
     max_element_order,
     verify_iso,
 )

@@ -13,8 +13,8 @@ check passed.  ``main`` alone adds the header, writes and sets the exit code.
 Exit codes: 0 when every executed check passed (or the command is purely
 informational), 1 when a check failed or a search was inconclusive, 2 for
 malformed input or parameters, 3 for an internal error (the code contradicted
-a theorem it implements).  The seed defaults to 1729; the environment
-variable BIPERMUTE_SEED overrides that default only when --seed is absent.
+a theorem it implements).  The root seed is --seed, 1729 when absent; no
+environment variable changes a report.
 ``axioms`` and ``quotient`` check every element of a finite carrier of at
 most 64 elements, and seeded draws otherwise.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -55,18 +54,6 @@ from .trunciso import classify_truncated, verify_iso
 
 # Exhaustive law checks cost carrier size cubed: 64 elements are 262,144 triples.
 EXHAUSTIVE_CHECK_MAX_ELEMENTS = 64
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BIPERMUTE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"BIPERMUTE_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
 
 
 def _check_counts(args) -> None:
@@ -108,7 +95,9 @@ def _parse_scalar_arg(text: str):
     """A scalar in its wire format, or a bare rational such as 3/2 or 1.5."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as exc:
+        if text.startswith(("{", "[", '"')):  # meant as JSON, so its error is the one to report
+            raise ParseError(f"malformed scalar JSON {text!r}: {exc}") from exc
         obj = text
     if isinstance(obj, float):  # a decimal: parse its text exactly
         obj = text
@@ -120,7 +109,7 @@ def _check_mode(args, desc, default_trials: int):
     size = desc.carrier_size
     if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS:
         return Exhaustive()
-    return Sampled(seed=_resolve_seed(args), trials=args.trials or default_trials)
+    return Sampled(seed=args.seed, trials=args.trials or default_trials)
 
 
 def _truncated(args):
@@ -164,19 +153,18 @@ def _cmd_permute(args):
     policy = SearchPolicy(
         exhaustive_cap=args.cap if args.cap is not None else EXHAUSTIVE_CAP_DEFAULT,
         random_trials=args.trials or 0,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     witness = find_preserving_permutation(seq, policy)
     return {"length": len(seq), **witness_to_json(witness)}, isinstance(witness, (Found, IdentityOnly))
 
 
 def _cmd_witness(args):
-    seed = _resolve_seed(args)
     if args.family == "bicyclic_rho":
         if args.input:
             elements = [BicyclicElement(i, j) for i, j in _bicyclic_pairs(_load_json(args.input))]
         else:
-            rng = derive_rng(seed, "witness", "bicyclic_rho")
+            rng = derive_rng(args.seed, "witness", "bicyclic_rho")
             elements = [BicyclicElement(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(args.m or 6)]
         seq = [bicyclic_rho(e) for e in elements]
         closed = bicyclic_rho(reduce(bicyclic_mul, elements))
@@ -218,13 +206,13 @@ def _cmd_quotient(args):
 
 def _cmd_iso(args):
     cl = _truncated(args)
-    report = verify_iso(cl.map, cl.source, cl.target, seed=_resolve_seed(args), trials=args.trials or 1000)
+    report = verify_iso(cl.map, cl.source, cl.target, seed=args.seed, trials=args.trials or 1000)
     return {**classification_to_json(cl), "verification": check_report_to_json(report)}, report.passed
 
 
 def _cmd_verify_all(args):
     try:
-        report = acceptance.run_acceptance(seed=_resolve_seed(args), items=args.item or None, trials=args.trials)
+        report = acceptance.run_acceptance(seed=args.seed, items=args.item or None, trials=args.trials)
     except KeyError as exc:
         raise ParseError(str(exc)) from exc
     for item in report["items"]:
@@ -248,7 +236,7 @@ _OPTIONS: dict[str, dict] = {
     "--inline": {"help": "semiring JSON given inline"},
     "--input": {"help": "path to an input JSON file"},
     "--out": {"help": "write the JSON report here instead of stdout"},
-    "--seed": {"type": int, "help": "root seed (default 1729; env BIPERMUTE_SEED)"},
+    "--seed": {"type": int, "default": DEFAULT_SEED, "help": f"root seed (default {DEFAULT_SEED})"},
     "--trials": {"type": int, "help": "trial count / fast-mode scale"},
     "--cap": {"type": int, "help": "exhaustive enumeration cap"},
 }

@@ -212,10 +212,10 @@ def _row_sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[
     return None
 
 
-def exhaustive_identity_only(seq: Sequence[Matrix], cap: int = EXHAUSTIVE_CAP_DEFAULT) -> bool:
+def exhaustive_identity_only(seq: Sequence[Matrix]) -> bool:
     """True iff no non-trivial permutation preserves the product (full sweep)."""
-    if len(seq) > cap:
-        raise CapExceeded(f"sequence length {len(seq)} exceeds the exhaustive cap {cap}")
+    if len(seq) > EXHAUSTIVE_CAP_DEFAULT:
+        raise CapExceeded(f"sequence length {len(seq)} exceeds the exhaustive cap {EXHAUSTIVE_CAP_DEFAULT}")
     target = seq_product(seq)
     return _exhaustive_search(seq, target) is None
 

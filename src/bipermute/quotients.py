@@ -41,7 +41,6 @@ from .semirings import (
     Semiring,
     _CheckReport,
     check_laws,
-    same_semiring,
     table_semiring,
     trunc,
 )
@@ -335,7 +334,7 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     desc = seq[0].semiring
     n = seq[0].n
     for m in seq:
-        if m.family != FULL or not same_semiring(m.semiring, desc) or m.n != n:
+        if m.family != FULL or not m.semiring == desc or m.n != n:
             raise DomainError("need a uniform sequence of full matrices")
     total, checkpoints = _checkpointed_total(seq)
     q = protecting_congruence(desc, list({v for row in total.entries for v in row}))
@@ -410,7 +409,7 @@ def xperm_find(seq: Sequence[Matrix]) -> PermutationWitness:
     if desc.family != TRUNC or desc.x != 1 or not desc.y > 2:
         raise PatternMismatch("pattern finder works over a truncation [1, z] with z > 2")
     for m in seq:
-        if m.n != 2 or m.family != FULL or not same_semiring(m.semiring, desc):
+        if m.n != 2 or m.family != FULL or not m.semiring == desc:
             raise PatternMismatch("need uniform full 2x2 matrices")
 
     if all(_is_s_pattern(m) for m in seq):

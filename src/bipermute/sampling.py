@@ -5,14 +5,15 @@ Reproducibility discipline: every independent random stream is a
 tuple of string labels, hashed with SHA-256.  Two runs with the same root
 seed and labels produce identical streams regardless of call order.
 
-A draw costs its random bits plus integer arithmetic.  A descriptor builds one
-drawer per grid denominator on first use and keeps it: each range size with
-its bit length, the truncation grid (integer numerators over one denominator,
-each point's value kept once drawn) and the atoms.  A bounded draw is
-``getrandbits(n.bit_length())`` until the result is below n, as
-``randrange(n)``, ``randint`` and ``choice`` make it, so draws keep the values,
-types and generator consumption of the plain formulas stated below.  Sampled
-matrices hold carrier elements by construction and skip validation.
+A draw costs its random bits plus integer arithmetic.  The public samplers
+draw truncation values on one grid, of denominator ``DEFAULT_GRID_DENOMINATOR``.
+A descriptor builds its drawer for a grid on first use and keeps it: each
+range size with its bit length, the truncation grid (integer numerators over
+one denominator, each point's value kept once drawn) and the atoms.  A
+bounded draw is ``getrandbits(n.bit_length())`` until the result is below n,
+as ``randrange(n)``, ``randint`` and ``choice`` make it, so draws keep the
+values, types and generator consumption of the plain formulas stated below.
+Sampled matrices hold carrier elements by construction and skip validation.
 """
 
 from __future__ import annotations
@@ -133,20 +134,21 @@ def _drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
     return drawer
 
 
-def sample_trunc_value(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
-    """The grid point x + t*(y-x)/steps of [x, y], steps = ceil((y-x)*denom), exact."""
-    value = _drawer(desc, denom)[1]
+def sample_trunc_value(desc: Semiring, rng: random.Random) -> Scalar:
+    """The grid point x + t*(y-x)/steps of [x, y], steps = ceil((y-x)*64), exact."""
+    value = _drawer(desc, DEFAULT_GRID_DENOMINATOR)[1]
     if value is None:
         raise DomainError(f"{desc.family} has no truncation grid")
     return value(rng.getrandbits)
 
 
-def sample_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
+def sample_scalar(desc: Semiring, rng: random.Random) -> Scalar:
     """Draw one carrier element; sentinels get weight 1/8 each where present."""
-    return _drawer(desc, denom)[0](rng.getrandbits)
+    return _drawer(desc, DEFAULT_GRID_DENOMINATOR)[0](rng.getrandbits)
 
 
 def _proper(desc: Semiring, draw: Draw, bits: Callable[[int], int]) -> Scalar:
+    """A draw that is not -inf (for unitriangular entries), from at most 64 tries."""
     for _ in range(64):
         s = draw(bits)
         if s is not NEG_INF:
@@ -154,17 +156,11 @@ def _proper(desc: Semiring, draw: Draw, bits: Callable[[int], int]) -> Scalar:
     raise DomainError(f"could not sample a proper element of {desc.family}")
 
 
-def sample_proper_scalar(desc: Semiring, rng: random.Random, denom: int = DEFAULT_GRID_DENOMINATOR) -> Scalar:
-    """A carrier element that is not a sentinel (for unitriangular entries)."""
-    return _proper(desc, _drawer(desc, denom)[0], rng.getrandbits)
-
-
-def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "full",
-                  denom: int = DEFAULT_GRID_DENOMINATOR) -> Matrix:
+def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "full") -> Matrix:
     """An n x n matrix of ``family``, drawn row by row, built without validation."""
     if n < 1:
         raise BadDimension("matrix must be square and non-empty")
-    draw, bits = _drawer(desc, denom)[0], rng.getrandbits
+    draw, bits = _drawer(desc, DEFAULT_GRID_DENOMINATOR)[0], rng.getrandbits
     if family == FULL:
         return Matrix(desc, FULL, tuple([tuple([draw(bits) for _ in range(n)]) for _ in range(n)]))
     zero = desc.zero_element()

@@ -127,6 +127,23 @@ class Semiring:
         """The fields only: the cached closures cannot be pickled and rebuild on use."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def __eq__(self, other) -> bool:
+        """Field equality, identity first: matrices built together share one descriptor."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._key[0]
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The dataclass hash of the fields, then the fields in declaration order; computed once."""
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        return hash(values), values
+
     # -- carrier structure -------------------------------------------------
 
     @property
@@ -427,15 +444,6 @@ def srk_leq(desc: Semiring, a: Scalar, b: Scalar) -> bool:
     desc.validate(a, allow_adjoined_id=True)
     desc.validate(b, allow_adjoined_id=True)
     return _with_adjoined_id(desc._add, a, b) == b
-
-
-def same_semiring(a: Semiring, b: Semiring) -> bool:
-    """Descriptor equality, identity first.
-
-    Matrices built together share one descriptor, and the dataclass ``==``
-    builds two field tuples per call, so hot checks go through here.
-    """
-    return a is b or a == b
 
 
 def adjoin_zero(desc: Semiring) -> Semiring:

@@ -120,10 +120,6 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> Matrix:
-    return _matrix_from_json(obj, {})
-
-
 def _matrix_from_json(obj, semirings: dict) -> Matrix:
     """A matrix; ``semirings`` keeps the descriptor of each semiring object parsed so far.
 

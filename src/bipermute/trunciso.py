@@ -176,48 +176,6 @@ def max_element_order(y: Rational) -> int:
     return math.ceil(y)
 
 
-@dataclass(frozen=True)
-class DistinguisherReport:
-    left: Union[str, dict]
-    right: Union[str, dict]
-    isomorphic: bool
-    invariant: Optional[str]
-    machine_checked: bool
-    detail: str
-
-
-def distinguisher(p: tuple[Rational, Rational], q: tuple[Rational, Rational]) -> DistinguisherReport:
-    """Explain how two truncations differ, via machine-checkable order invariants.
-
-    Unbounded element order separates the [0,1] class from all others; the
-    maximum element order (equivalently, existence of elements of order 3,
-    4, ...) separates classes with different ceilings.  Two T1 classes with
-    the same ceiling but different ratios are genuinely non-isomorphic, but
-    the argument (rigidity of the map on dyadic rationals) is analytic and
-    reported as not machine-checked.
-    """
-    cl, cr = classify_truncated(*p), classify_truncated(*q)
-    left, right = cl.canonical_label(), cr.canonical_label()
-    if cl.canonical == cr.canonical and cl.ratio == cr.ratio:
-        return DistinguisherReport(left, right, True, None, True, "same canonical class")
-    if CANON_01 in (cl.canonical, cr.canonical):
-        return DistinguisherReport(
-            left, right, False, "unbounded_order", True,
-            "one class has elements of unbounded multiplicative order, the other is bounded",
-        )
-    lo_max = max_element_order(cl.target.y)
-    ro_max = max_element_order(cr.target.y)
-    if lo_max != ro_max:
-        return DistinguisherReport(
-            left, right, False, "max_element_order", True,
-            f"max element order {lo_max} vs {ro_max}",
-        )
-    return DistinguisherReport(
-        left, right, False, "dyadic_rigidity", False,
-        "separated by the rigidity of isomorphisms on dyadic rationals (analytic, not machine-checked)",
-    )
-
-
 def max_order_by_iteration(y: Rational, samples: int = 0, seed: int = 0) -> int:
     """Oracle for max_element_order: iterate powers of 1 (and sampled points)."""
     desc = trunc(1, y)

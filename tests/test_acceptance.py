@@ -1,8 +1,8 @@
 """The acceptance suite at full scale: one test (and one printed line) per criterion.
 
 Every item runs with the documented default seed and its full trial counts;
-all comparisons inside the items are exact.  Expected wall-clock is about two
-minutes for the whole module, dominated by the two long-sequence items.
+all comparisons inside the items are exact.  On 2 vCPU with Python 3.11.7 the
+module takes 35 to 40 s, most of it in the trunciso and kerperm items.
 """
 
 import time

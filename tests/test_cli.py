@@ -13,7 +13,6 @@ import pytest
 from bipermute import acceptance, cli, permutability
 from bipermute.cli import main
 from bipermute.errors import NoPairFound
-from bipermute.sampling import DEFAULT_SEED
 from bipermute.semirings import Exhaustive, Sampled, adjoin_zero, chain, tropical, trunc_nat, trunc_neg_nat
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,6 +139,10 @@ def test_classify_element_reports_the_scalar_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad atom encoding: {'atom': 'x'}\n"
+    # an argument meant as JSON reports the decoder's error, not the fallback's
+    assert main(["classify-element", "--inline", chain4, '{"atom": 3']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scalar JSON '{\"atom\": 3': Expecting ',' delimiter"), err
     # bare rationals, decimals and integers still parse
     out = tmp_path / "c.json"
     trunc13 = '{"family":"trunc","x":"1","y":"3"}'
@@ -175,19 +178,6 @@ def test_verify_all_fast_deterministic(tmp_path, capsys):
     rep = load(out1)
     assert rep["mode"] == "fast" and rep["schema"] == 1
     assert [i["name"] for i in rep["items"]] == ["noidentity", "axioms", "pigeonhole_boolean"]
-
-
-def test_seed_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("BIPERMUTE_SEED", "77")
-    assert main(["verify-all", "--trials", "2", "--item", "noidentity", "--out", str(out)]) == 0
-    assert load(out)["seed"] == 77
-    # an explicit flag wins over the environment
-    assert main(["verify-all", "--trials", "2", "--item", "noidentity", "--seed", "9", "--out", str(out)]) == 0
-    assert load(out)["seed"] == 9
-    monkeypatch.delenv("BIPERMUTE_SEED")
-    assert main(["verify-all", "--trials", "2", "--item", "noidentity", "--out", str(out)]) == 0
-    assert load(out)["seed"] == DEFAULT_SEED
 
 
 def test_parse_errors_exit_2(tmp_path):
@@ -237,6 +227,8 @@ _MALFORMED_INPUTS = {
     "quotient_without_input": lambda tmp: ["quotient", "--inline", '{"family":"chain","size":4}'],
     "quotient_input_is_a_number": lambda tmp: [
         "quotient", "--inline", '{"family":"chain","size":4}', "--input", write(tmp / "x.json", 5)],
+    "scalar_is_malformed_json": lambda tmp: [
+        "classify-element", "--inline", '{"family":"chain","size":5}', '{"atom": 3'],
     "quotient_input_is_an_object": lambda tmp: [
         "quotient", "--inline", '{"family":"chain","size":4}', "--input", write(tmp / "x.json", {"atom": 1})],
 }
@@ -300,7 +292,7 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_exhaustive_checks_stop_at_the_carrier_budget():
-    args = argparse.Namespace(seed=None, trials=None)
+    args = argparse.Namespace(seed=1729, trials=None)  # as the parser gives it without --seed
     finite = {chain(64): Exhaustive, chain(65): Sampled, trunc_neg_nat(64): Exhaustive,
               adjoin_zero(trunc_nat(63)): Exhaustive, adjoin_zero(trunc_nat(64)): Sampled}
     for desc, mode in finite.items():
@@ -390,8 +382,7 @@ def test_pinned_reports_cover_every_command():
 
 
 @pytest.mark.parametrize("command", list(_PINNED))
-def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.delenv("BIPERMUTE_SEED", raising=False)
+def test_report_bytes_are_pinned(tmp_path, capsys, command):
     make_argv, out_sha, err_sha, code = _PINNED[command]
     capsys.readouterr()
     assert main(make_argv(tmp_path)) == code

@@ -123,7 +123,7 @@ def test_closure_and_associativity_random():
             b = sample_matrix(desc, 3, rng, family)
             c = sample_matrix(desc, 3, rng, family)
             ab = mat_mul(a, b)
-            assert ab.is_member()  # closure
+            assert Matrix.make(desc, family, ab.entries) == ab  # closure: every entry validates
             assert mat_mul(ab, c) == mat_mul(a, mat_mul(b, c))
 
 
@@ -132,7 +132,7 @@ def test_uni_products_never_hit_undefined_sums():
     desc = nat_max(adjoined_zero=True)
     seq = [sample_matrix(desc, 4, rng, UNI) for _ in range(30)]
     total = seq_product(seq)  # would raise UndefinedPartialSum on a violation
-    assert total.is_member()
+    assert Matrix.make(desc, UNI, total.entries) == total
 
 
 def _max_min_table():
@@ -223,7 +223,7 @@ def test_uni_products_over_a_genuine_zero(case):
         for _ in range(10):
             seq = [sample_matrix(desc, n, rng, UNI) for _ in range(3)]
             total = seq_product(seq)
-            assert total.is_member()
+            assert Matrix.make(desc, UNI, total.entries) == total
             if one is not None:
                 assert _with_genuine_one(total, one) == seq_product([_with_genuine_one(m, one) for m in seq])
 

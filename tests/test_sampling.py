@@ -8,18 +8,20 @@ from fractions import Fraction as F
 import pytest
 
 from bipermute.errors import BadDimension, DomainError
-from bipermute.matrices import FULL, UNI, UT
+from bipermute.matrices import FULL, UNI, UT, Matrix
 from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import (
+    DEFAULT_GRID_DENOMINATOR,
     DEFAULT_SEED,
+    _drawer,
+    _proper,
     _uniform,
     derive_rng,
     sample_matrix,
-    sample_proper_scalar,
     sample_scalar,
     sample_trunc_value,
 )
-from bipermute.scalars import NEG_INF, Atom, scalar_to_json
+from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom, scalar_to_json
 from bipermute.semirings import (
     boolean,
     chain,
@@ -32,6 +34,22 @@ from bipermute.semirings import (
     trunc_nat,
     trunc_neg_nat,
 )
+
+
+def _on_grid(denom):
+    """The scalar and truncation-value samplers on the grid of denominator ``denom``.
+
+    The public samplers draw on the default grid; other grids come from the drawer.
+    """
+    if denom == DEFAULT_GRID_DENOMINATOR:
+        return sample_scalar, sample_trunc_value
+    return (lambda desc, rng: _drawer(desc, denom)[0](rng.getrandbits),
+            lambda desc, rng: _drawer(desc, denom)[1](rng.getrandbits))
+
+
+def _proper_scalar(desc, rng, denom):
+    """A draw of a proper element (no -inf) on the grid of denominator ``denom``."""
+    return _proper(desc, _drawer(desc, denom)[0], rng.getrandbits)
 
 
 def reference_trunc_value(desc, rng, denom):
@@ -58,8 +76,9 @@ def test_trunc_draws_match_the_fraction_formula(x, y, denom):
     fast = derive_rng(DEFAULT_SEED, "test_sampling", str(x), str(y), str(denom))
     plain = random.Random()
     plain.setstate(fast.getstate())
+    draw = _on_grid(denom)[1]
     for _ in range(300):
-        got = sample_trunc_value(desc, fast, denom)
+        got = draw(desc, fast)
         want = reference_trunc_value(desc, plain, denom)
         assert got == want and type(got) is type(want)
         assert fast.getstate() == plain.getstate()
@@ -85,6 +104,13 @@ def test_trunc_membership_matches_the_fraction_comparison(x, y):
         assert _trunc_member(desc, a) == (a == 0 or desc.x <= a <= desc.y), a
 
 
+def _uni_entries(desc, n, rng, denom):
+    """The entries ``sample_matrix(desc, n, rng, UNI)`` draws, on the grid of denominator ``denom``."""
+    zero = desc.zero_element()
+    return [[ADJOINED_ID if j == i else _proper_scalar(desc, rng, denom) if j > i else zero for j in range(n)]
+            for i in range(n)]
+
+
 def _stream_digest():
     """SHA-256 of seeded matrix streams over every sampled carrier shape."""
     cases = [
@@ -101,9 +127,12 @@ def _stream_digest():
     for label, desc, family, n, denom in cases:
         rng = derive_rng(DEFAULT_SEED, "test_sampling", "stream", label)
         for _ in range(200):
-            m = sample_matrix(desc, n, rng, family, denom)
+            if denom == DEFAULT_GRID_DENOMINATOR:
+                entries = sample_matrix(desc, n, rng, family).entries
+            else:
+                entries = _uni_entries(desc, n, rng, denom)
             h.update(repr([[(type(v).__name__, scalar_to_json(v)) for v in row]
-                           for row in m.entries]).encode())
+                           for row in entries]).encode())
     return h.hexdigest()
 
 
@@ -173,13 +202,12 @@ def _wider_stream_digest():
                        lambda rng: [[_typed(v) for v in row]
                                     for row in sample_matrix(desc, n, rng, family).entries], 100)
     for denom in (1, 7, 64):
+        scalar, trunc_value = _on_grid(denom)
         for name, desc in carriers.items():
-            stream(f"scalar_{name}_{denom}", lambda rng: _typed(sample_scalar(desc, rng, denom)), 200)
-            stream(f"proper_{name}_{denom}",
-                   lambda rng: _typed(sample_proper_scalar(desc, rng, denom)), 200)
+            stream(f"scalar_{name}_{denom}", lambda rng: _typed(scalar(desc, rng)), 200)
+            stream(f"proper_{name}_{denom}", lambda rng: _typed(_proper_scalar(desc, rng, denom)), 200)
         for name in ("trunc13", "trunc_frac"):
-            stream(f"trunc_value_{name}_{denom}",
-                   lambda rng: _typed(sample_trunc_value(carriers[name], rng, denom)), 200)
+            stream(f"trunc_value_{name}_{denom}", lambda rng: _typed(trunc_value(carriers[name], rng)), 200)
     return h.hexdigest()
 
 
@@ -239,8 +267,9 @@ def test_drawn_scalars_match_the_plain_formulas(name, denom):
     fast = derive_rng(DEFAULT_SEED, "test_sampling", "scalar", name, str(denom))
     plain = random.Random()
     plain.setstate(fast.getstate())
+    draw = _on_grid(denom)[0]
     for _ in range(2000):
-        got, want = sample_scalar(desc, fast, denom), reference_scalar(desc, plain, denom)
+        got, want = draw(desc, fast), reference_scalar(desc, plain, denom)
         assert got == want and type(got) is type(want)
         assert fast.getstate() == plain.getstate()
 
@@ -254,6 +283,7 @@ def test_sampled_matrices_are_members(name):
         for n in (2, 3):
             for _ in range(200):
                 m = sample_matrix(desc, n, rng, family)
-                assert m.family == family and m.n == n and m.is_member(), m
+                assert m.family == family and m.n == n, m
+                assert Matrix.make(desc, family, m.entries) == m  # validates every entry
     with pytest.raises(BadDimension):
         sample_matrix(desc, 0, rng)

@@ -1,9 +1,13 @@
 """Semiring arithmetic, element order, monogenic classes, axiom checking."""
 
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from bipermute.errors import DomainError, InfeasibleExhaustive, NotFiniteOrder, UndefinedPartialSum
 from bipermute.quotients import trunc12_congruence
-from bipermute.sampling import derive_rng, sample_scalar, sample_trunc_value
+from bipermute.sampling import _drawer, derive_rng, sample_scalar
 from bipermute.scalars import ADJOINED_ID, NEG_INF, Atom
 from bipermute.semirings import (
     Exhaustive,
@@ -133,22 +137,54 @@ def test_descriptors_pickle_after_use(case):
     a, b = sample[0], sample[-1]
     expected = (desc._add(a, b), desc._mul(a, b), desc._leq(a, b), desc._leq(b, a))
 
-    def stream(d, draw):
+    def stream(d, which):  # 0 draws scalars, 1 truncation-grid values, on the grid of denominator 4
         rng = derive_rng(3, "pickle")
-        return [draw(d, rng, 4) for _ in range(40)]
+        draw = _drawer(d, 4)[which]
+        return [draw(rng.getrandbits) for _ in range(40)]
 
-    draws = stream(desc, sample_scalar)
+    draws = stream(desc, 0)
     if desc.family == "trunc":
-        grid = stream(desc, sample_trunc_value)
+        grid = stream(desc, 1)
     back = pickle.loads(pickle.dumps(desc))
     assert back == desc and back is not desc
     assert "_drawers" not in vars(back)  # the sampler's drawers are rebuilt on the copy's first draw
     assert (back._add(a, b), back._mul(a, b), back._leq(a, b), back._leq(b, a)) == expected
-    assert stream(back, sample_scalar) == draws
+    assert stream(back, 0) == draws
     if desc.family == "trunc":
-        assert stream(back, sample_trunc_value) == grid
+        assert stream(back, 1) == grid
     # and again once the copy has computed
     assert pickle.loads(pickle.dumps(back)) == desc
+
+
+_DESCRIPTORS = """
+from fractions import Fraction as F
+from bipermute.quotients import trunc12_congruence
+from bipermute.semirings import adjoin_zero, chain, nat_max, tropical, trunc
+descs = [trunc(1, 3), tropical(), chain(40), adjoin_zero(nat_max()),
+         trunc12_congruence([F(3, 2)]).quotient_semiring()]
+"""
+
+
+def _run_with_hash_seed(hashseed, code, stdin=b""):
+    env = {**os.environ, "PYTHONHASHSEED": str(hashseed)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DESCRIPTORS + code], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_a_descriptor_hashes_afresh_under_another_hash_seed():
+    """The hash is cached on first use, but never pickled: strings hash differently in each process."""
+    pickled = _run_with_hash_seed(1, "import pickle, sys\n"
+                                     "[hash(d) for d in descs]\n"
+                                     "sys.stdout.buffer.write(pickle.dumps(descs))")
+    same = _run_with_hash_seed(2, "import pickle, sys\n"
+                                  "back = pickle.loads(sys.stdin.buffer.read())\n"
+                                  "print([b is not d and b == d and hash(b) == hash(d) for b, d in zip(back, descs)])",
+                               pickled)
+    assert same.decode().strip() == str([True] * 5)
 
 
 def test_truncated_products_saturate_at_the_top():

@@ -30,7 +30,6 @@ from bipermute.serialize import (
     classification_to_json,
     matrices_from_json,
     matrices_to_json,
-    matrix_from_json,
     matrix_to_json,
     quotient_to_json,
     semiring_from_json,
@@ -97,7 +96,7 @@ def test_matrix_roundtrip():
         m = sample_matrix(desc, 3, rng, family)
         obj = matrix_to_json(m)
         assert obj["n"] == 3 and obj["family"] == family
-        assert matrix_from_json(obj) == m
+        assert matrices_from_json([obj]) == [m]
     seq = [sample_matrix(tropical(), 2, rng) for _ in range(4)]
     parsed = matrices_from_json(matrices_to_json(seq))
     assert parsed == seq
@@ -108,7 +107,7 @@ def test_matrix_roundtrip():
     bad = matrix_to_json(seq[0])
     bad["n"] = 3
     with pytest.raises(ParseError):
-        matrix_from_json(bad)
+        matrices_from_json([bad])
     mixed = matrices_from_json([matrix_to_json(seq[0]), matrix_to_json(sample_matrix(trunc(1, 3), 2, rng))])
     assert mixed[1].semiring == trunc(1, 3)  # kept as parsed, for products to reject
 

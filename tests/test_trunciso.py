@@ -13,7 +13,6 @@ from bipermute.trunciso import (
     PiecewiseLinearMap,
     apply_iso,
     classify_truncated,
-    distinguisher,
     max_element_order,
     max_order_by_iteration,
     verify_iso,
@@ -150,16 +149,23 @@ def test_max_element_order():
     assert element_order(trunc(1, F(13, 4)), 1).order == 4
 
 
-def test_distinguisher():
-    d = distinguisher((0, 1), (1, 2))
-    assert not d.isomorphic and d.invariant == "unbounded_order" and d.machine_checked
-    d = distinguisher((1, 2), (1, F(5, 2)))
-    assert d.invariant == "max_element_order" and d.machine_checked
-    d = distinguisher((1, F(5, 2)), (1, 3))
-    assert not d.isomorphic and d.invariant == "dyadic_rigidity" and not d.machine_checked
-    d = distinguisher((1, 3), (1, 4))
-    assert d.invariant == "max_element_order" and "3 vs 4" in d.detail
-    d = distinguisher((1, F(10, 3)), (1, F(7, 2)))  # same ceiling, different ratio
-    assert not d.isomorphic and not d.machine_checked
-    d = distinguisher((2, 5), (1, F(5, 2)))  # same class through different intervals
-    assert d.isomorphic
+def test_canonical_classes_are_told_apart_by_their_invariants():
+    """Labels differ exactly between classes; element orders separate all but same-ceiling pairs."""
+
+    def label(x, y):
+        return classify_truncated(x, y).canonical_label()
+
+    def max_order(x, y):
+        return max_element_order(classify_truncated(x, y).target.y)
+
+    # the [0,1] class has elements of unbounded order (1/n has order n); the others are bounded
+    assert label(0, 1) != label(1, 2) and max_order(1, 2) == 2
+    assert element_order(trunc(0, 1), F(1, 50)) == Finite(50, 50)
+    # different ceilings: the maximum element order separates them
+    for p, q, orders in [((1, 2), (1, F(5, 2)), (2, 3)), ((1, 3), (1, 4), (3, 4))]:
+        assert label(*p) != label(*q) and (max_order(*p), max_order(*q)) == orders
+    # the same ceiling: only the labels differ; rigidity on dyadic rationals separates them, analytically
+    for p, q in [((1, F(5, 2)), (1, 3)), ((1, F(10, 3)), (1, F(7, 2)))]:
+        assert label(*p) != label(*q)
+    # one class through different intervals
+    assert label(2, 5) == label(1, F(5, 2)) and max_order(2, 5) == max_order(1, F(5, 2))
