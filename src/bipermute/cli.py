@@ -248,7 +248,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "classify-element": Command(
         "order and monogenic class of one element",
-        (*_SEMIRING, "--out", "--seed", "--cap"),
+        (*_SEMIRING, "--out", "--cap"),
         _cmd_classify_element,
         (("element", {"help": 'scalar literal: 5, "3/2", "-inf", or {"atom": 3}'}),),
     ),

@@ -13,6 +13,13 @@ needs no product; any other one is decided as P_i*A_j*M*A_i*S_{j+1} from the
 prefix and suffix products its proposer already holds, so a swap near the
 front of a long sequence costs O(j) products, not O(k).
 
+The rungs after the equal pair, and ``exhaustive_identity_only``, run on an
+integer image of a tropical or truncated tuple (``_integer_image``):
+scaling by the lcm D of the denominators maps trunc(x, y) onto trunc(Dx, Dy)
+and the tropical semiring onto itself, so it keeps exactly which
+permutations preserve the product, and the search pays for int arithmetic,
+not ``Fraction``.  A witness is a permutation, so it needs no decoding.
+
 The path-assignment machinery realizes the combinatorial argument for weak
 permutability: every entry of a permuted product is attained by one path in
 the complete directed graph on the index set, and two permutations inducing
@@ -21,7 +28,9 @@ the same per-matrix edge assignment necessarily have equal products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -34,6 +43,8 @@ from .errors import (
 )
 from .matrices import FULL, Matrix, _check_pair, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
+from .scalars import ADJOINED_ID, NEG_INF
+from .semirings import TROPICAL, TRUNC
 
 EXHAUSTIVE_CAP_DEFAULT = 8
 # The general transposition rung takes O(k^2) products; longer sequences skip it.
@@ -117,6 +128,37 @@ def _combine(*parts: Optional[Matrix]) -> Matrix:
         if p is not None:
             acc = p if acc is None else mat_mul(acc, p)
     return acc
+
+
+def _integer_image(seq: Sequence[Matrix]) -> Sequence[Matrix]:
+    """``seq`` scaled into integers over a tropical or truncated carrier, else ``seq`` itself.
+
+    D is the lcm of the denominators of every entry, and of x and y for
+    trunc(x, y).  Multiplying every proper entry by D maps trunc(x, y) onto
+    trunc(Dx, Dy) and the tropical semiring onto itself; entrywise that is a
+    matrix-semigroup isomorphism, so a permutation preserves the image's
+    product exactly when it preserves the source's, and the sweep's states
+    correspond one to one.  The image's descriptor has integer bounds, so
+    its closures never meet a ``Fraction``.  A sequence whose entries (and
+    bounds) are ints already, on another carrier, or over mixed semirings
+    is returned unchanged, to fail where it failed before.
+    """
+    desc = seq[0].semiring if seq else None
+    if desc is None or desc.family not in (TROPICAL, TRUNC) or any(not m.semiring == desc for m in seq):
+        return seq
+    values = [v for m in seq for row in m.entries for v in row]
+    if desc.family == TRUNC:
+        values += (desc.x, desc.y)
+    denominators = {v.denominator for v in values if type(v) is Fraction}
+    if not denominators:
+        return seq
+    d = math.lcm(*denominators)
+    image = desc if desc.family == TROPICAL else replace(desc, x=int(d * desc.x), y=int(d * desc.y))
+
+    def scale(v):
+        return v if v is NEG_INF or v is ADJOINED_ID else int(d * v)
+
+    return [Matrix(image, m.family, tuple(tuple(map(scale, row)) for row in m.entries)) for m in seq]
 
 
 def _exhaustive_search(seq: Sequence[Matrix], target: Matrix) -> Optional[Perm]:
@@ -216,6 +258,7 @@ def exhaustive_identity_only(seq: Sequence[Matrix]) -> bool:
     """True iff no non-trivial permutation preserves the product (full sweep)."""
     if len(seq) > EXHAUSTIVE_CAP_DEFAULT:
         raise CapExceeded(f"sequence length {len(seq)} exceeds the exhaustive cap {EXHAUSTIVE_CAP_DEFAULT}")
+    seq = _integer_image(seq)
     target = seq_product(seq)
     return _exhaustive_search(seq, target) is None
 
@@ -342,8 +385,10 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     all transpositions, random shuffles, exhaustive enumeration) and the
     first witness that ``_verified`` accepts, in canonical order, is
     returned.  An equal pair needs no product, so that rung runs before the
-    product of the sequence is taken, and the product is taken only for a
-    later rung (from the suffix products when a swap rung builds them).  A
+    product of the sequence is taken; the later rungs run on
+    ``_integer_image(seq)``, which scales rational tropical and truncated
+    entries to ints and finds the same witnesses, and the product is taken
+    only for them (from the suffix products when a swap rung builds them).  A
     sequence that mixes dimensions, semirings or families raises what
     ``seq_product`` raises, whichever rung decides.  An exhaustive sweep
     that finds nothing proves the product is identity-only, and one whose
@@ -361,6 +406,7 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     swap_rungs = policy.try_adjacent or (policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH)
     if not (swap_rungs or policy.random_trials > 0 or k <= policy.exhaustive_cap):
         return NoneFoundUnderPolicy(policy)
+    seq = _integer_image(seq)
     ends = prefix_suffix_products(seq) if swap_rungs else None
     target = seq_product(seq) if ends is None else ends[1][0]
     for strategy, candidate in _candidates(seq, policy, ends):

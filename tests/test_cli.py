@@ -153,6 +153,18 @@ def test_classify_element_reports_the_scalar_error(tmp_path, capsys):
     assert load(out)["element"] == 5
 
 
+def test_classify_element_takes_no_seed(capsys):
+    # the order and class of one element are computed exactly; no draw could read a seed
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-element", "--inline", '{"family":"trunc","x":"1","y":"3"}', "3/2", "--seed", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("error: unrecognized arguments: --seed 5"), captured.err
+
+
 def test_product_of_uni_matrices_over_a_genuine_zero(tmp_path):
     chain4 = {"family": "chain", "size": 4}
     zero, top = {"atom": 0}, {"atom": 3}

@@ -1,6 +1,7 @@
 """Permutation products, the witness search ladder, and path assignments."""
 
 import gc
+import math
 import weakref
 from fractions import Fraction as F
 from itertools import permutations
@@ -562,10 +563,132 @@ _MISMATCHES = {
 @pytest.mark.parametrize("kind", list(_MISMATCHES))
 def test_a_mixed_sequence_with_an_equal_pair_raises_what_seq_product_raises(kind):
     rng = derive_rng(16, "mixed", kind)
-    a, b = (sample_matrix(nat_max(adjoined_zero=True), 2, rng) for _ in range(2))
-    seq = [a, b, a, _MISMATCHES[kind](a, rng)]
-    with pytest.raises(BipermuteError) as expected:
-        seq_product(seq)
-    with pytest.raises(BipermuteError) as got:
-        find_preserving_permutation(seq)
-    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+    for desc in (nat_max(adjoined_zero=True), trunc(1, 3)):  # trunc(1, 3) has an integer image
+        a, b = (sample_matrix(desc, 2, rng) for _ in range(2))
+        seq = [a, b, a, _MISMATCHES[kind](a, rng)]
+        with pytest.raises(BipermuteError) as expected:
+            seq_product(seq)
+        for search in (find_preserving_permutation, exhaustive_identity_only):
+            with pytest.raises(BipermuteError) as got:
+                search(seq)
+            assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+
+
+# -- the integer image -------------------------------------------------------
+
+_IMAGE_CARRIERS = (tropical(), trunc(1, 3), trunc(F(3, 2), F(7, 2)), trunc(0, F(5, 2)))
+
+
+def _image_pool(desc):
+    """-inf, 0, the bounds of a truncation and values between them; p/q entries for the tropical carrier."""
+    if desc.family == "tropical":
+        return [NEG_INF, 0, F(-3, 2), F(1, 3), F(5, 4), 2]
+    x, y = desc.x, desc.y
+    return [NEG_INF, 0, x, y, x + (y - x) / 3, x + (y - x) * F(3, 4)]
+
+
+def _image_matrix(desc, n, family, rng):
+    pool = _image_pool(desc)
+    proper = [v for v in pool if v is not NEG_INF]
+
+    def entry(i, j):
+        if family == FULL or j > i:
+            return rng.choice(pool)
+        if j < i:
+            return NEG_INF
+        return ADJOINED_ID if family == UNI else rng.choice(proper)
+
+    return Matrix.make(desc, family, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def _rigid_image_tuple(desc, m):
+    """A 3x3 tuple shaped like ``witness_M3_trunc``: 0 on the diagonal, a_i rising, b_i falling.
+
+    The corner c lies above every a_s + b_t with s < t, and every inversion
+    (u > v) puts a_u + b_v above c and below the truncation's top.
+    """
+    base = max(desc.x, 1) if desc.family == "trunc" else F(1, 2)
+    eps = (desc.y - 2 * base) / (4 * m) if desc.family == "trunc" else F(1, 3 * m)
+    return [Matrix.make(desc, FULL, [[0, base + i * eps, 2 * base + m * eps],
+                                     [NEG_INF, 0, base + (m - i) * eps],
+                                     [NEG_INF, NEG_INF, 0]]) for i in range(1, m + 1)]
+
+
+def _image_sequences():
+    """Seeded tuples, n in {2, 3} and k <= 7, plain or with a planted equal pair or swap.
+
+    Random draws from ``_image_pool`` mostly have a cheap witness, so rigid
+    3x3 tuples give the sweep identity-only cases.  A full tropical swap
+    pairs A with A + c, a scalar shift that commutes with everything; any
+    other swap puts A*A right after A.
+    """
+    for d, desc in enumerate(_IMAGE_CARRIERS):
+        for case in range(18):
+            rng = derive_rng(17, "integer-image", str(d), str(case))
+            plant = (None, "equal", "swap")[case % 3]
+            if case < 9:
+                k, n, family = (3, 5, 7)[case // 3], 3, FULL
+                seq = _rigid_image_tuple(desc, k)
+            else:
+                n, family = 2 + case % 2, (FULL, FULL, UT, UNI)[case % 4]
+                k = rng.randint(2, 7 if n == 2 else 6)
+                seq = [_image_matrix(desc, n, family, rng) for _ in range(k)]
+            i = rng.randrange(k - 1)
+            if plant == "equal":
+                seq[rng.randrange(i + 1, k)] = seq[i]
+            elif plant == "swap" and desc.family == "tropical" and family == FULL:
+                seq[rng.randrange(i + 1, k)] = _shifted(seq[i], F(7, 3))
+            elif plant == "swap":
+                seq[i + 1] = mat_mul(seq[i], seq[i])
+            yield f"{desc.family}[{desc.x},{desc.y}] n={n} {family} k={k} {plant}", seq
+
+
+def _denominator_lcm(seq):
+    desc = seq[0].semiring
+    values = [v for m in seq for row in m.entries for v in row if isinstance(v, (int, F))]
+    values += [desc.x, desc.y] if desc.family == "trunc" else []
+    return math.lcm(*(F(v).denominator for v in values))
+
+
+def test_the_integer_image_is_an_exact_integer_copy():
+    for label, seq in _image_sequences():
+        image = permutability._integer_image(seq)
+        d = _denominator_lcm(seq)
+        desc, scaled = seq[0].semiring, image[0].semiring
+        assert all(m.semiring is scaled for m in image), label
+        if desc.family == "trunc":
+            assert (type(scaled.x), type(scaled.y)) == (int, int) and (scaled.x, scaled.y) == (d * desc.x, d * desc.y)
+        for m in image:
+            assert all(v is NEG_INF or v is ADJOINED_ID or type(v) is int for row in m.entries for v in row), label
+        unscaled = tuple(tuple(v if v is NEG_INF or v is ADJOINED_ID else F(v, d) for v in row)
+                         for row in seq_product(image).entries)
+        assert unscaled == seq_product(seq).entries, label
+        assert permutability._integer_image(image) is image  # an integer tuple is passed through
+
+
+def test_integer_valued_and_other_tuples_are_passed_through():
+    rng = derive_rng(18, "integer-image-pass")
+    integral = [_small_tropical(3, rng) for _ in range(4)]
+    chained = [sample_matrix(chain(5), 2, rng) for _ in range(4)]
+    mixed = [_image_matrix(trunc(1, 3), 2, FULL, rng), _image_matrix(trunc(F(3, 2), F(7, 2)), 2, FULL, rng)]
+    for seq in (integral, chained, witness_U3_Nmax(4), mixed, []):
+        assert permutability._integer_image(seq) is seq
+
+
+def test_searches_on_the_integer_image_agree_with_the_plain_path(monkeypatch):
+    rungs_off = {"try_equal_pair": False, "try_adjacent": False, "try_all_transpositions": False}
+    policies = (SearchPolicy(), SearchPolicy(**rungs_off),  # the whole ladder, then the sweep alone
+                SearchPolicy(**{**rungs_off, "try_all_transpositions": True}, exhaustive_cap=0),
+                SearchPolicy(**rungs_off, random_trials=3, seed=5, exhaustive_cap=0))
+    seen = []
+    for label, seq in _image_sequences():
+        with_image = [find_preserving_permutation(seq, p) for p in policies] + [exhaustive_identity_only(seq)]
+        with monkeypatch.context() as plain:
+            plain.setattr(permutability, "_integer_image", lambda seq: seq)
+            assert [find_preserving_permutation(seq, p) for p in policies] + [exhaustive_identity_only(seq)] \
+                == with_image, label
+        seen += [getattr(w, "strategy", type(w).__name__) for w in with_image[:-1]]
+    # every rung decides on the image somewhere, and some tuples are identity-only
+    assert set(seen) == {"equal_pair", "adjacent", "transposition", "random", "exhaustive",
+                         "IdentityOnly", "NoneFoundUnderPolicy"}, set(seen)
+    assert seen.count("IdentityOnly") >= 10
