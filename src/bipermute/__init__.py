@@ -64,7 +64,6 @@ from .semirings import (
     noidentity_semiring,
     period_one_check,
     srk_add,
-    srk_leq,
     srk_mul,
     table_semiring,
     tropical,

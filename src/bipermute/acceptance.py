@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .constructions import RIGID_FAMILIES, BicyclicElement, bicyclic_mul, bicyclic_rho
-from .errors import CaseFallthrough, PatternMismatch
+from .errors import DomainError, InvariantViolation
 from .matrices import FULL, Matrix, mat_mul, pad_sequence
 from .permutability import (
     Found,
@@ -99,14 +99,14 @@ def item_axioms(seed: int, trials: Optional[int] = None) -> ItemResult:
 
 def item_noidentity(seed: int, trials: Optional[int] = None) -> ItemResult:
     report = noidentity_obstruction()
-    all_disagree = all(not p.agree for p in report.placements)
+    all_disagree = all(failed is not None for _, failed in report.placements)
     none_identity = all(not flag for _, flag in report.identity_scan)
     passed = all_disagree and none_identity and not report.embeddable and len(report.placements) == 4
     return ItemResult(
         "noidentity",
         passed,
         {
-            "placements": [p.placement for p in report.placements],
+            "placements": [placement for placement, _ in report.placements],
             "all_disagree": all_disagree,
             "identity_exists": not none_identity,
         },
@@ -348,7 +348,7 @@ def item_xperm(seed: int, trials: Optional[int] = None) -> ItemResult:
             seq = [_pattern_matrix(desc, rng, transposed) for _ in range(k)]
             try:
                 witness = xperm_find(seq)
-            except (CaseFallthrough, PatternMismatch):
+            except (InvariantViolation, DomainError):
                 fallthroughs += 1
                 continue
             if isinstance(witness, Found):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import BadEpsilon, BadParams, BadScale, DomainError
+from .errors import DomainError
 from .matrices import FULL, UNI, UT, Matrix
 from .scalars import ADJOINED_ID, NEG_INF, Rational, is_rational
 from .semirings import Semiring, nat_max, neg_nat_max, tropical, trunc
@@ -30,7 +30,7 @@ class BicyclicElement:
 
     def __post_init__(self):
         if self.i < 0 or self.j < 0:
-            raise BadParams("exponents must be non-negative")
+            raise DomainError("exponents must be non-negative")
 
 
 def bicyclic_mul(u: BicyclicElement, v: BicyclicElement) -> BicyclicElement:
@@ -80,7 +80,7 @@ def lift_scale_UT2(seq: list[Matrix], lam: int) -> list[Matrix]:
                 else:
                     shifted = _integer(v) - lam
                     if shifted <= 0:
-                        raise BadScale(f"lambda {lam} is not strictly below entry {v!r}")
+                        raise DomainError(f"lambda {lam} is not strictly below entry {v!r}")
                     new.append(shifted)
             rows.append(new)
         out.append(Matrix.make(target, UT, rows))
@@ -119,7 +119,7 @@ def lift_to_full_Nmax(seq: list[Matrix], mu: int) -> list[Matrix]:
                 if m.entries[i][j] is NEG_INF:
                     raise DomainError("on/above-diagonal entries must be finite integers")
     if mu <= nmax_lift_scale_bound(seq):
-        raise BadScale(f"mu={mu} does not satisfy the dominance bound > {nmax_lift_scale_bound(seq)}")
+        raise DomainError(f"mu={mu} does not satisfy the dominance bound > {nmax_lift_scale_bound(seq)}")
     target = nat_max()
     out = []
     for m in seq:
@@ -156,7 +156,7 @@ def witness_U3_Nmax(m: int) -> list[Matrix]:
     product above m, so only the identity permutation preserves it.
     """
     if m < 2:
-        raise BadParams("need m >= 2")
+        raise DomainError("need m >= 2")
     desc = nat_max(adjoined_zero=True)
     return [_uni3(desc, i, m, m + 1 - i) for i in range(1, m + 1)]
 
@@ -164,21 +164,21 @@ def witness_U3_Nmax(m: int) -> list[Matrix]:
 def witness_U3_Nmax_partial_product(m: int, k: int) -> Matrix:
     """Closed form of B_1 * ... * B_k."""
     if not 1 <= k <= m:
-        raise BadParams("need 1 <= k <= m")
+        raise DomainError("need 1 <= k <= m")
     return _uni3(nat_max(adjoined_zero=True), k, m, m)
 
 
 def witness_U3_negNmax(m: int) -> list[Matrix]:
     """The negative-naturals analogue C_1..C_m of the rigid unitriangular family."""
     if m < 2:
-        raise BadParams("need m >= 2")
+        raise DomainError("need m >= 2")
     desc = neg_nat_max(adjoined_zero=True)
     return [_uni3(desc, i - m - 1, -m - 2, -i) for i in range(1, m + 1)]
 
 
 def witness_U3_negNmax_partial_product(m: int, k: int) -> Matrix:
     if not 1 <= k <= m:
-        raise BadParams("need 1 <= k <= m")
+        raise DomainError("need 1 <= k <= m")
     return _uni3(neg_nat_max(adjoined_zero=True), k - m - 1, -m - 2, -1)
 
 
@@ -195,13 +195,13 @@ def witness_M3_trunc(z: Rational, eps: Rational, m: int) -> list[Matrix]:
     its identity-order value 2 + eps.  Requires z > 2 and 0 < eps < z - 2.
     """
     if m < 2:
-        raise BadParams("need m >= 2")
+        raise DomainError("need m >= 2")
     z = Fraction(z)
     eps = Fraction(eps)
     if not z > 2:
-        raise BadParams("need z > 2")
+        raise DomainError("need z > 2")
     if not 0 < eps < z - 2:
-        raise BadEpsilon(f"epsilon must lie strictly between 0 and z-2 = {z - 2}")
+        raise DomainError(f"epsilon must lie strictly between 0 and z-2 = {z - 2}")
     desc = trunc(1, z)
     out = []
     for i in range(1, m + 1):
@@ -216,7 +216,7 @@ def witness_M3_trunc(z: Rational, eps: Rational, m: int) -> list[Matrix]:
 
 def witness_M3_trunc_partial_product(z: Rational, eps: Rational, m: int, k: int) -> Matrix:
     if not 1 <= k <= m:
-        raise BadParams("need 1 <= k <= m")
+        raise DomainError("need 1 <= k <= m")
     z = Fraction(z)
     eps = Fraction(eps)
     desc = trunc(1, z)

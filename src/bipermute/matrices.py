@@ -21,13 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    BadDimension,
-    DimensionMismatch,
-    DomainError,
-    EmptySequence,
-    SemiringMismatch,
-)
+from .errors import DomainError
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
 from .semirings import Semiring
 
@@ -53,7 +47,7 @@ class Matrix:
         """Validated construction: checks squareness and family membership."""
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
-            raise BadDimension("matrix must be square and non-empty")
+            raise DomainError("matrix must be square and non-empty")
         if family not in _FAMILIES:
             raise DomainError(f"unknown matrix family {family!r}")
         entries = tuple(tuple(r) for r in rows)
@@ -116,11 +110,11 @@ class Matrix:
 
 def _check_pair(a: Matrix, b: Matrix) -> None:
     if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} vs {b.n}")
+        raise DomainError(f"{a.n} vs {b.n}")
     if not a.semiring == b.semiring:  # one dispatch; != would call __ne__ and then __eq__
-        raise SemiringMismatch("matrices live over different semirings")
+        raise DomainError("matrices live over different semirings")
     if a.family != b.family:
-        raise SemiringMismatch(f"mixed matrix families {a.family!r} and {b.family!r}")
+        raise DomainError(f"mixed matrix families {a.family!r} and {b.family!r}")
 
 
 def _row_times(add, mul, i: int, row: tuple, cols: tuple) -> tuple:
@@ -173,7 +167,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def seq_product(seq: Sequence[Matrix]) -> Matrix:
     """Left-associated product of a non-empty uniform sequence."""
     if not seq:
-        raise EmptySequence("cannot multiply an empty sequence")
+        raise DomainError("cannot multiply an empty sequence")
     acc = seq[0]
     for m in seq[1:]:
         acc = mat_mul(acc, m)
@@ -187,7 +181,7 @@ def prefix_suffix_products(seq: Sequence[Matrix]) -> tuple[list[Optional[Matrix]
     prefix, empty suffix) are represented as absent and handled by callers.
     """
     if not seq:
-        raise EmptySequence("cannot build prefix/suffix products of an empty sequence")
+        raise DomainError("cannot build prefix/suffix products of an empty sequence")
     k = len(seq)
     prefixes: list[Optional[Matrix]] = [None] * k
     acc = None
@@ -205,7 +199,7 @@ def prefix_suffix_products(seq: Sequence[Matrix]) -> tuple[list[Optional[Matrix]
 def project_topleft(a: Matrix, m: int) -> Matrix:
     """Top-left m x m corner; a semigroup morphism on triangular families."""
     if not 1 <= m <= a.n:
-        raise BadDimension(f"cannot project a {a.n}x{a.n} matrix to {m}x{m}")
+        raise DomainError(f"cannot project a {a.n}x{a.n} matrix to {m}x{m}")
     if a.family == FULL:
         raise DomainError("corner projection is a morphism only for triangular families")
     rows = tuple(row[:m] for row in a.entries[:m])
@@ -221,16 +215,16 @@ def pad_sequence(seq: Sequence[Matrix], n: int) -> list[Matrix]:
     product of the originals.
     """
     if not seq:
-        raise EmptySequence("cannot pad an empty sequence")
+        raise DomainError("cannot pad an empty sequence")
     m = seq[0].n
     desc = seq[0].semiring
     for mat in seq:
         if mat.family != FULL:
             raise DomainError("padding is defined for full matrices")
         if mat.n != m or not mat.semiring == desc:
-            raise SemiringMismatch("padding needs a uniform sequence")
+            raise DomainError("padding needs a uniform sequence")
     if n <= m:
-        raise BadDimension(f"target dimension {n} must exceed {m}")
+        raise DomainError(f"target dimension {n} must exceed {m}")
     leq = desc._leq
     z = seq[0].entries[0][0]
     for mat in seq:

@@ -33,14 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import (
-    CapExceeded,
-    DomainError,
-    EmptySequence,
-    InvariantViolation,
-    LengthMismatch,
-    ShapeMismatch,
-)
+from .errors import DomainError, InvariantViolation
 from .matrices import FULL, Matrix, _check_pair, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import ADJOINED_ID, NEG_INF
@@ -116,9 +109,9 @@ PermutationWitness = Union[IdentityOnly, Found, NoneFoundUnderPolicy]
 def apply_perm_product(seq: Sequence[Matrix], perm: Sequence[int]) -> Matrix:
     """Product of the sequence taken in permuted order: seq[perm[0]] * seq[perm[1]] * ..."""
     if not seq:
-        raise EmptySequence("no matrices to multiply")
+        raise DomainError("no matrices to multiply")
     if not is_permutation(perm, len(seq)):
-        raise LengthMismatch(f"{perm!r} is not a permutation of 0..{len(seq) - 1}")
+        raise DomainError(f"{perm!r} is not a permutation of 0..{len(seq) - 1}")
     return seq_product([seq[i] for i in perm])
 
 
@@ -257,7 +250,7 @@ def _row_sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[
 def exhaustive_identity_only(seq: Sequence[Matrix]) -> bool:
     """True iff no non-trivial permutation preserves the product (full sweep)."""
     if len(seq) > EXHAUSTIVE_CAP_DEFAULT:
-        raise CapExceeded(f"sequence length {len(seq)} exceeds the exhaustive cap {EXHAUSTIVE_CAP_DEFAULT}")
+        raise DomainError(f"sequence length {len(seq)} exceeds the exhaustive cap {EXHAUSTIVE_CAP_DEFAULT}")
     seq = _integer_image(seq)
     target = seq_product(seq)
     return _exhaustive_search(seq, target) is None
@@ -397,7 +390,7 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     """
     k = len(seq)
     if k < 2:
-        raise LengthMismatch("need at least two matrices")
+        raise DomainError("need at least two matrices")
     for m in seq:
         _check_pair(seq[0], m)
     pair = _first_repeat(seq) if policy.try_equal_pair else None
@@ -449,10 +442,10 @@ def path_assignment(seq: Sequence[Matrix], perm: Sequence[int]) -> PathAssignmen
     sequence of intermediate nodes so the assignment is deterministic.
     """
     if not seq:
-        raise EmptySequence("no matrices")
+        raise DomainError("no matrices")
     k = len(seq)
     if not is_permutation(perm, k):
-        raise LengthMismatch(f"{perm!r} is not a permutation of 0..{k - 1}")
+        raise DomainError(f"{perm!r} is not a permutation of 0..{k - 1}")
     if any(m.family != FULL for m in seq):
         raise DomainError("path assignments are defined for full matrices only")
     n = seq[0].n
@@ -495,9 +488,9 @@ def reconstruct_from_assignment(seq: Sequence[Matrix], pa: PathAssignment) -> Ma
     the permuted product, by commutativity of the scalar multiplication.
     """
     if len(seq) != pa.k:
-        raise ShapeMismatch(f"assignment is for {pa.k} matrices, got {len(seq)}")
+        raise DomainError(f"assignment is for {pa.k} matrices, got {len(seq)}")
     if not seq or seq[0].n != pa.n:
-        raise ShapeMismatch("dimension mismatch between sequence and assignment")
+        raise DomainError("dimension mismatch between sequence and assignment")
     desc = seq[0].semiring
     mul = desc._mul
     n = pa.n

@@ -17,14 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    CaseFallthrough,
-    DomainError,
-    InfeasibleExhaustive,
-    LengthTooShort,
-    NoPairFound,
-    PatternMismatch,
-)
+from .errors import DomainError, InvariantViolation
 from .matrices import FULL, Matrix
 from .permutability import PermutationWitness, _checkpointed_total, _first_repeat, _swap_at, _verified
 from .sampling import derive_rng, sample_scalar
@@ -253,7 +246,7 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
-            raise InfeasibleExhaustive("carrier is infinite; use sampled verification")
+            raise DomainError("carrier is infinite; use sampled verification")
         points = [(a,) for a in carrier]
         # the carrier is closed under both operations, so the laws below only
         # ever ask for the class of a carrier element: look each one up once
@@ -330,7 +323,7 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     the swap (i, j) is checked in about j + 64 more products, not k.
     """
     if not seq:
-        raise LengthTooShort("empty sequence")
+        raise DomainError("empty sequence")
     desc = seq[0].semiring
     n = seq[0].n
     for m in seq:
@@ -341,14 +334,14 @@ def kerperm_find_swap(seq: Sequence[Matrix]) -> PermutationWitness:
     class_bound = trunc12_class_bound if desc.family == TRUNC else chain_class_bound
     required = kerperm_bound(class_bound(n), n)
     if len(seq) < required:
-        raise LengthTooShort(f"need at least {required} matrices, got {len(seq)}")
+        raise DomainError(f"need at least {required} matrices, got {len(seq)}")
 
     pair = _first_repeat(q.kernel_image(m) for m in seq)
     if pair is None:
-        raise NoPairFound("pigeonhole violated: no equal-image pair (implementation bug)")
+        raise InvariantViolation("pigeonhole violated: no equal-image pair (implementation bug)")
     hit = _verified(seq, total, _swap_at(seq, checkpoints, *pair), "kernel_pair")
     if hit is None:
-        raise NoPairFound("equal-image swap failed to verify (implementation bug)")
+        raise InvariantViolation("equal-image swap failed to verify (implementation bug)")
     return hit
 
 
@@ -400,17 +393,17 @@ def xperm_find(seq: Sequence[Matrix]) -> PermutationWitness:
     the transposed family is solved through the transpose anti-isomorphism,
     which reverses products, so the solved permutation is conjugated by the
     order reversal before verification.  With at least 2*ceil(z)+5 factors
-    the final fallback case cannot fail; if it does, CaseFallthrough.
+    the final fallback case cannot fail; if it does, InvariantViolation.
     """
     k = len(seq)
     if k < 3:
-        raise PatternMismatch("need at least three matrices")
+        raise DomainError("need at least three matrices")
     desc = seq[0].semiring
     if desc.family != TRUNC or desc.x != 1 or not desc.y > 2:
-        raise PatternMismatch("pattern finder works over a truncation [1, z] with z > 2")
+        raise DomainError("pattern finder works over a truncation [1, z] with z > 2")
     for m in seq:
         if m.n != 2 or m.family != FULL or not m.semiring == desc:
-            raise PatternMismatch("need uniform full 2x2 matrices")
+            raise DomainError("need uniform full 2x2 matrices")
 
     if all(_is_s_pattern(m) for m in seq):
         (i, j), label = _xperm_case(seq)
@@ -420,10 +413,10 @@ def xperm_find(seq: Sequence[Matrix]) -> PermutationWitness:
         i, j = sorted((k - 1 - tj, k - 1 - ti))
         label += "_transposed"
     else:
-        raise PatternMismatch("matrices are not uniformly of the triangular pattern")
+        raise DomainError("matrices are not uniformly of the triangular pattern")
 
     total, checkpoints = _checkpointed_total(seq)
     hit = _verified(seq, total, _swap_at(seq, checkpoints, i, j), label)
     if hit is None:
-        raise CaseFallthrough(f"case {label!r} produced a non-preserving swap")
+        raise InvariantViolation(f"case {label!r} produced a non-preserving swap")
     return hit

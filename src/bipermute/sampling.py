@@ -9,7 +9,7 @@ A draw costs its random bits plus integer arithmetic.  The public samplers
 draw truncation values on one grid, of denominator ``DEFAULT_GRID_DENOMINATOR``.
 A descriptor builds its drawer for a grid on first use and keeps it: each
 range size with its bit length, the truncation grid (integer numerators over
-one denominator, each point's value kept once drawn) and the atoms.  A
+one denominator, each point's value kept once drawn) and the atoms drawn.  A
 bounded draw is ``getrandbits(n.bit_length())`` until the result is below n,
 as ``randrange(n)``, ``randint`` and ``choice`` make it, so draws keep the
 values, types and generator consumption of the plain formulas stated below.
@@ -24,9 +24,9 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import BadDimension, DomainError
+from .errors import DomainError
 from .matrices import FULL, UNI, UT, Matrix
-from .scalars import ADJOINED_ID, NEG_INF, Scalar
+from .scalars import ADJOINED_ID, NEG_INF, Atom, Scalar
 from .semirings import (
     BOOLEAN,
     CHAIN,
@@ -74,6 +74,21 @@ def _uniform(values: Sequence[Scalar]) -> Draw:
     return draw
 
 
+def _kept(n: int, build: Callable[[int], Scalar]) -> Draw:
+    """build(randrange(n)) by ``_uniform``'s loop, each value built on its first draw and kept, never all n."""
+    k, kept = n.bit_length(), {}
+
+    def draw(bits):
+        while (i := bits(k)) >= n:
+            pass
+        v = kept.get(i)
+        if v is None:
+            v = kept[i] = build(i)
+        return v
+
+    return draw
+
+
 def _or_neg_inf(proper: Draw) -> Draw:
     """-inf if randrange(8) == 0, else a draw of ``proper``."""
     roll = _uniform(range(SENTINEL_WEIGHT))
@@ -89,23 +104,14 @@ def _build_drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
         steps = max(1, -int(-width * denom // 1))  # ceil((y-x)*denom)
         spacing = width / steps
         den = math.lcm(desc.x.denominator, spacing.denominator)
-        base, step, n = int(desc.x * den), int(spacing * den), steps + 1
-        k, points = n.bit_length(), {}
-
-        def value(bits):
-            """The grid point randint(0, steps), each value built once.
-
-            The loops here are ``_uniform``'s, inlined: a call per draw costs a trunc matrix about a tenth.
-            """
-            while (t := bits(k)) >= n:
-                pass
-            v = points.get(t)
-            if v is None:
-                v = points[t] = _ratio(base + t * step, den)
-            return v
+        base, step = int(desc.x * den), int(spacing * den)
+        value = _kept(steps + 1, lambda t: _ratio(base + t * step, den))  # the grid point randint(0, steps)
 
         def scalar(bits):
-            """roll = randrange(8): -inf on 0, the zero 0 on 1, else a grid value."""
+            """roll = randrange(8): -inf on 0, the zero 0 on 1, else a grid value.
+
+            The roll's loop is ``_uniform``'s, inlined: a call per draw costs a trunc matrix about a tenth.
+            """
             while (r := bits(_ROLL_BITS)) >= SENTINEL_WEIGHT:
                 pass
             return value(bits) if r > 1 else 0 if r else NEG_INF
@@ -116,7 +122,7 @@ def _build_drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
         num, dens = _uniform(range(-256, 257)), _uniform(_TROPICAL_DENOMINATORS)
         scalar = _or_neg_inf(lambda bits: _ratio(num(bits), dens(bits)))
     elif f in (CHAIN, BOOLEAN, TABLE):
-        scalar = _uniform(desc._atoms)
+        scalar = _kept(desc.size, Atom)  # Atom(randrange(size)): a chain of 10**12 atoms is never built
     elif f in (NAT_MAX, NEG_NAT_MAX, TRUNC_NAT, TRUNC_NEG_NAT):
         # randint(1, n) for n = 40 or k, negated for the negative families
         n = 40 if f in (NAT_MAX, NEG_NAT_MAX) else desc.k
@@ -159,7 +165,7 @@ def _proper(desc: Semiring, draw: Draw, bits: Callable[[int], int]) -> Scalar:
 def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "full") -> Matrix:
     """An n x n matrix of ``family``, drawn row by row, built without validation."""
     if n < 1:
-        raise BadDimension("matrix must be square and non-empty")
+        raise DomainError("matrix must be square and non-empty")
     draw, bits = _drawer(desc, DEFAULT_GRID_DENOMINATOR)[0], rng.getrandbits
     if family == FULL:
         return Matrix(desc, FULL, tuple([tuple([draw(bits) for _ in range(n)]) for _ in range(n)]))

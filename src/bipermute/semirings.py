@@ -32,12 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import (
-    DomainError,
-    InfeasibleExhaustive,
-    NotFiniteOrder,
-    UndefinedPartialSum,
-)
+from .errors import DomainError
 from .scalars import ADJOINED_ID, NEG_INF, Atom, Rational, Scalar, is_rational
 
 TROPICAL = "tropical"
@@ -187,7 +182,7 @@ class Semiring:
         f = self.family
         elems: list[Scalar]
         if f in _ATOM_FAMILIES:
-            elems = list(self._atoms)
+            elems = [Atom(i) for i in range(self.size)]
         elif f == TRUNC_NAT:
             elems = list(range(1, self.k + 1))
         elif f == TRUNC_NEG_NAT:
@@ -248,11 +243,6 @@ class Semiring:
     def _bounds(self) -> tuple[int, int, int, int]:
         """Numerator and denominator of x, then of y; cached, saving ``validate`` about 260 ns a check."""
         return self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
-
-    @cached_property
-    def _atoms(self) -> tuple[Atom, ...]:
-        """Every atom of a chain, boolean or table carrier, built once."""
-        return tuple(Atom(i) for i in range(self.size))
 
     @cached_property
     def _drawers(self) -> dict:
@@ -352,7 +342,7 @@ class Semiring:
         """The total order, defined by addition: a <= b iff a + b = b.
 
         Bipotence makes this a total order with NEG_INF at the bottom; only
-        ``srk_leq`` also compares the adjoined identity.
+        ``srk_add`` also compares the adjoined identity.
         """
         add = self._add
         return lambda a, b: add(a, b) == b
@@ -413,7 +403,7 @@ def _with_adjoined_id(op: Callable[[Scalar, Scalar], Scalar], a: Scalar, b: Scal
     """``op`` (``_add``, or ``_mul`` if ``product``) extended to the adjoined identity 1.
 
     The one home of its partial arithmetic: 1 + 1 = 1 + (-inf) = 1; 1*x = x*1 = x,
-    but -inf absorbs; 1 plus a proper element raises UndefinedPartialSum.
+    but -inf absorbs; 1 plus a proper element raises DomainError.
     """
     if a is not ADJOINED_ID and b is not ADJOINED_ID:
         return op(a, b)
@@ -423,7 +413,7 @@ def _with_adjoined_id(op: Callable[[Scalar, Scalar], Scalar], a: Scalar, b: Scal
         return b if a is ADJOINED_ID else a
     if a is b:
         return a
-    raise UndefinedPartialSum(f"{a!r} + {b!r} is undefined")
+    raise DomainError(f"{a!r} + {b!r} is undefined")
 
 
 def srk_add(desc: Semiring, a: Scalar, b: Scalar) -> Scalar:
@@ -437,13 +427,6 @@ def srk_mul(desc: Semiring, a: Scalar, b: Scalar) -> Scalar:
     desc.validate(a, allow_adjoined_id=True)
     desc.validate(b, allow_adjoined_id=True)
     return _with_adjoined_id(desc._mul, a, b, product=True)
-
-
-def srk_leq(desc: Semiring, a: Scalar, b: Scalar) -> bool:
-    """The total order: a <= b iff a + b = b."""
-    desc.validate(a, allow_adjoined_id=True)
-    desc.validate(b, allow_adjoined_id=True)
-    return _with_adjoined_id(desc._add, a, b) == b
 
 
 def adjoin_zero(desc: Semiring) -> Semiring:
@@ -507,7 +490,7 @@ def period_one_check(desc: Semiring, a: Scalar, cap: int = DEFAULT_ORDER_CAP) ->
     """True iff the stabilized power p of ``a`` satisfies p*a = p."""
     res = element_order(desc, a, cap)
     if not isinstance(res, Finite):
-        raise NotFiniteOrder(f"{a!r} does not have verified finite order: {res!r}")
+        raise DomainError(f"{a!r} does not have verified finite order: {res!r}")
     mul = desc._mul
     power = a
     for _ in range(res.stabilization_index - 1):
@@ -680,7 +663,7 @@ def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomRepor
     if isinstance(mode, Exhaustive):
         carrier = desc.carrier_elements()
         if carrier is None:
-            raise InfeasibleExhaustive(f"{desc.family} has an infinite carrier")
+            raise DomainError(f"{desc.family} has an infinite carrier")
         return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, carrier))
     from .sampling import derive_rng, sample_scalar
 
@@ -707,61 +690,50 @@ def noidentity_semiring() -> Semiring:
 
 
 @dataclass(frozen=True)
-class PlacementCheck:
-    placement: str
-    witness: str
-    lhs: str
-    rhs: str
-    agree: bool
-
-
-@dataclass(frozen=True)
 class ObstructionReport:
-    placements: tuple[PlacementCheck, ...]
+    """Each identity placement with its first failing law, or None if every law holds."""
+
+    placements: tuple[tuple[str, Optional[Check]], ...]
     identity_scan: tuple[tuple[str, bool], ...]
     embeddable: bool
 
 
-_PLACEMENTS = ("1<a", "a<1<b", "b<1<c", "1>c")
+# each placement of an identity 1, then the four elements in ascending order
+_PLACEMENTS = {"1<a": "1abc", "a<1<b": "a1bc", "b<1<c": "ab1c", "1>c": "abc1"}
 
 
 def noidentity_obstruction() -> ObstructionReport:
-    """Show no order placement of an adjoined identity is consistent.
+    """Show no order placement of an adjoined identity is lawful.
 
-    For each of the four ways an identity element 1 could sit in the order
-    of the fixed 3-element semiring, evaluate x*(1+b) directly (using the
-    placement to resolve 1+b) and via distributivity; the two values always
-    disagree.  Also scans the carrier to confirm no existing element is an
-    identity.
+    For each of the four places an identity 1 could take in the order of
+    the fixed 3-element semiring, build the 4-element table: 1*x = x*1 = x,
+    sums follow the order, and the other products are those of
+    ``noidentity_table``.  ``check_axioms`` runs over all of it, and the
+    placement is refuted by its first failing law, whose counterexample is
+    given by element name.  Also scans the carrier to confirm no existing
+    element is an identity.
     """
-    desc = noidentity_semiring()
-    mul, add = desc._mul, desc._add
-    a, b, c = Atom(0), Atom(1), Atom(2)
-    names = {a: "a", b: "b", c: "c"}
-
+    base = noidentity_table().mul
+    add = tuple(tuple(max(i, j) for j in range(4)) for i in range(4))
     placements = []
-    for placement in _PLACEMENTS:
-        one_above_b = placement in ("b<1<c", "1>c")
-        if one_above_b:
-            # 1 + b = 1, so x*(1+b) = x*1 = x with witness x = a;
-            # distributing instead gives x*1 + x*b = a + b = b.
-            witness = a
-            lhs: Scalar = witness
-            rhs = add(witness, mul(witness, b))
-        else:
-            # 1 + b = b, so x*(1+b) = x*b with witness x = c;
-            # distributing gives x*1 + x*b = c + b = c.
-            witness = c
-            lhs = mul(witness, b)
-            rhs = add(witness, mul(witness, b))
-        placements.append(
-            PlacementCheck(placement, names[witness], names[lhs], names[rhs], lhs == rhs)
-        )
+    for placement, order in _PLACEMENTS.items():
+        old = ["abc".find(name) for name in order]  # each element's index in ``base``, -1 for the identity
 
-    scan = tuple(
-        (names[e], all(mul(e, x) == x and mul(x, e) == x for x in (a, b, c)))
-        for e in (a, b, c)
-    )
-    consistent_placement = any(p.agree for p in placements)
+        def product(i, j):
+            if old[i] < 0:
+                return j
+            if old[j] < 0:
+                return i
+            return old.index(base[old[i]][old[j]])
+
+        mul = tuple(tuple(product(i, j) for j in range(4)) for i in range(4))
+        report = check_axioms(table_semiring(FiniteSemiringTable(4, add, mul, validate=False)), Exhaustive())
+        failed = next((c for c in report.checks if not c.passed), None)
+        if failed is not None:
+            failed = replace(failed, counterexample=tuple(order[x.index] for x in failed.counterexample))
+        placements.append((placement, failed))
+
+    scan = tuple((name, all(base[e][x] == x == base[x][e] for x in range(3))) for e, name in enumerate("abc"))
+    consistent_placement = any(failed is None for _, failed in placements)
     has_identity = any(flag for _, flag in scan)
     return ObstructionReport(tuple(placements), scan, consistent_placement or has_identity)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
 
-from .errors import BadInterval, OutOfDomain
+from .errors import DomainError
 from .sampling import derive_rng, sample_trunc_value
 from .scalars import NEG_INF, Rational, Scalar
 from .semirings import Check, Finite, Law, Semiring, _CheckReport, check_laws, element_order, trunc
@@ -84,7 +84,7 @@ def classify_truncated(x: Rational, y: Rational) -> IsoClassification:
     """Pick the canonical target for the truncation on [x, y] and build the map."""
     x, y = Fraction(x), Fraction(y)
     if not 0 <= x < y:
-        raise BadInterval(f"need 0 <= x < y, got [{x},{y}]")
+        raise DomainError(f"need 0 <= x < y, got [{x},{y}]")
     source = trunc(x, y)
     if x == 0:
         segments = (Segment(x, y, Fraction(1, y), Fraction(0)),)
@@ -118,7 +118,7 @@ def apply_iso(pl_map: PiecewiseLinearMap, a: Scalar) -> Scalar:
         if seg.contains(a):
             value = seg.slope * a + seg.intercept
             return int(value) if value.denominator == 1 else value
-    raise OutOfDomain(f"{a!r} lies outside the map's domain")
+    raise DomainError(f"{a!r} lies outside the map's domain")
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def max_element_order(y: Rational) -> int:
     """
     y = Fraction(y)
     if not y > 1:
-        raise BadInterval("need y > 1")
+        raise DomainError("need y > 1")
     return math.ceil(y)
 
 

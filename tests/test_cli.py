@@ -12,7 +12,7 @@ import pytest
 
 from bipermute import acceptance, cli, permutability
 from bipermute.cli import main
-from bipermute.errors import NoPairFound
+from bipermute.errors import InvariantViolation
 from bipermute.semirings import Exhaustive, Sampled, adjoin_zero, chain, tropical, trunc_nat, trunc_neg_nat
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,7 +283,7 @@ def test_negative_counts_exit_2(tmp_path, capsys):
 
 def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     def broken(seq):
-        raise NoPairFound("pigeonhole violated")
+        raise InvariantViolation("pigeonhole violated")
 
     monkeypatch.setattr(acceptance, "kerperm_find_swap", broken)
     capsys.readouterr()
@@ -318,6 +318,9 @@ def test_exhaustive_checks_stop_at_the_carrier_budget():
 _LARGE_CARRIERS = {
     "axioms_trunc_nat_100000": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":100000}'],
     "axioms_chain_2000": lambda tmp: ["axioms", "--inline", '{"family":"chain","size":2000}'],
+    # a sampled draw builds only the atoms it draws, never the carrier
+    "axioms_chain_10_12": lambda tmp: [
+        "axioms", "--inline", '{"family":"chain","size":1000000000000}', "--trials", "5"],
     "quotient_chain_3000": lambda tmp: [
         "quotient", "--inline", '{"family":"chain","size":3000}', "--input", write(tmp / "x.json", [{"atom": 5}])],
 }

@@ -19,7 +19,7 @@ from bipermute.constructions import (
     witness_U3_negNmax,
     witness_U3_negNmax_partial_product,
 )
-from bipermute.errors import BadEpsilon, BadParams, BadScale
+from bipermute.errors import DomainError
 from bipermute.matrices import UT, Matrix, mat_mul, seq_product
 from bipermute.permutability import apply_perm_product, exhaustive_identity_only, transposition
 from bipermute.sampling import derive_rng
@@ -84,7 +84,7 @@ def test_lift_scale_examples():
     lifted = lift_scale_UT2([m], -5)[0]
     assert lifted.entries == ((6, 7), (NEG_INF, 4))
     assert lifted.semiring.family == "nat_max" and lifted.semiring.adjoined_zero
-    with pytest.raises(BadScale):
+    with pytest.raises(DomainError, match="is not strictly below entry"):
         lift_scale_UT2([m], -1)  # -1 is not strictly below the entry -1
 
 
@@ -120,7 +120,7 @@ def test_lift_to_full_examples():
     lifted = lift_to_full_Nmax([m], 100)[0]
     assert lifted.entries == ((101, 102), (1, 99))
     assert lifted.family == "full" and lifted.semiring.family == "nat_max"
-    with pytest.raises(BadScale):
+    with pytest.raises(DomainError, match="does not satisfy the dominance bound"):
         lift_to_full_Nmax([m], 0)
 
 
@@ -162,7 +162,7 @@ def test_lift_dominance_bound_is_needed():
     big = seq_product(n)
     orig = seq_product(seq)
     assert big.entries[0][0] != 2 * weak_mu + orig.entries[0][0]
-    with pytest.raises(BadScale):
+    with pytest.raises(DomainError, match="does not satisfy the dominance bound"):
         lift_to_full_Nmax(seq, weak_mu)
     good = lift_to_full_Nmax(seq, nmax_lift_scale_bound(seq) + 1)
     mu = nmax_lift_scale_bound(seq) + 1
@@ -182,7 +182,7 @@ def test_u3_nmax_values_and_closed_form():
         for k in range(1, m + 1):
             acc = seq[k - 1] if acc is None else mat_mul(acc, seq[k - 1])
             assert acc == witness_U3_Nmax_partial_product(m, k)
-    with pytest.raises(BadParams):
+    with pytest.raises(DomainError, match="need m >= 2"):
         witness_U3_Nmax(1)
 
 
@@ -213,9 +213,9 @@ def test_m3_trunc_values_and_closed_form():
         for k in range(1, m + 1):
             acc = seq[k - 1] if acc is None else mat_mul(acc, seq[k - 1])
             assert acc == witness_M3_trunc_partial_product(3, F(1, 2), m, k)
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(DomainError, match="epsilon must lie strictly between 0 and z-2"):
         witness_M3_trunc(3, 5, 4)
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(DomainError, match="epsilon must lie strictly between 0 and z-2"):
         witness_M3_trunc(3, 1, 4)  # eps = z - 2 exactly is out
     assert default_epsilon(3) == F(1, 2)
 

@@ -5,13 +5,7 @@ from functools import reduce
 
 import pytest
 
-from bipermute.errors import (
-    BadDimension,
-    DimensionMismatch,
-    DomainError,
-    EmptySequence,
-    SemiringMismatch,
-)
+from bipermute.errors import DomainError
 from bipermute.matrices import (
     FULL,
     UNI,
@@ -79,13 +73,13 @@ def test_boolean_zero_matrix_absorbs():
 def test_mismatches_rejected():
     a = tmat([[0]])
     b = tmat([[0, 0], [0, 0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match="^1 vs 2$"):
         mat_mul(a, b)
     c = Matrix.make(trunc(1, 2), FULL, [[0]])
-    with pytest.raises(SemiringMismatch):
+    with pytest.raises(DomainError, match="matrices live over different semirings"):
         mat_mul(a, c)
     d = tmat([[0]], UT)
-    with pytest.raises(SemiringMismatch):
+    with pytest.raises(DomainError, match="mixed matrix families"):
         mat_mul(a, d)  # mixed families are rejected, not coerced
 
 
@@ -94,7 +88,7 @@ def test_equal_but_distinct_semirings_multiply():
     b = Matrix.make(tropical(), FULL, [[1, NEG_INF], [0, 0]])
     assert a.semiring is not b.semiring and a.semiring == b.semiring
     assert mat_mul(a, b).entries == ((1, 1), (2, 2))
-    with pytest.raises(SemiringMismatch):
+    with pytest.raises(DomainError, match="matrices live over different semirings"):
         mat_mul(a, Matrix.make(trunc(1, 3), FULL, [[0, 1], [NEG_INF, 2]]))
 
 
@@ -131,7 +125,7 @@ def test_uni_products_never_hit_undefined_sums():
     rng = derive_rng(8, "uni-defined")
     desc = nat_max(adjoined_zero=True)
     seq = [sample_matrix(desc, 4, rng, UNI) for _ in range(30)]
-    total = seq_product(seq)  # would raise UndefinedPartialSum on a violation
+    total = seq_product(seq)  # would raise DomainError on a violation
     assert Matrix.make(desc, UNI, total.entries) == total
 
 
@@ -241,7 +235,7 @@ def test_matrices_pickle_after_products():
 def test_seq_product_trivia():
     a = tmat([[2]])
     assert seq_product([a]) == a
-    with pytest.raises(EmptySequence):
+    with pytest.raises(DomainError, match="cannot multiply an empty sequence"):
         seq_product([])
     # idempotent under multiplication: constant matrix over a chain
     desc = chain(4)
@@ -275,7 +269,7 @@ def test_project_topleft():
     a = Matrix.make(desc, UT, [[1, 2, 3], [NEG_INF, 4, 5], [NEG_INF, NEG_INF, 6]])
     assert project_topleft(a, 2).entries == ((1, 2), (NEG_INF, 4))
     assert project_topleft(a, 3) == a
-    with pytest.raises(BadDimension):
+    with pytest.raises(DomainError, match="cannot project a 3x3 matrix to 4x4"):
         project_topleft(a, 4)
     with pytest.raises(DomainError):
         project_topleft(tmat([[0, 0], [0, 0]]), 1)  # full family rejected
@@ -298,7 +292,7 @@ def test_pad_sequence_examples():
     padded = pad_sequence(seq, 2)
     assert padded[0].entries == ((2, 2), (2, 2))
     assert seq_product(padded).entries[0][0] == 5
-    with pytest.raises(BadDimension):
+    with pytest.raises(DomainError, match="target dimension 1 must exceed 1"):
         pad_sequence(seq, 1)
     # an explicit zero entry makes the zero the padding value
     t = trunc(1, 3)

@@ -18,14 +18,13 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # Reached by no root yet.  Each stays because a demo shows it, until an
 # acceptance item backs it: the paper's scaling lifts that transport rigidity
-# from 2x2 tropical matrices to natural max-plus ones, the corner projection,
-# the weak-permutability bound and the semiring's order relation.
+# from 2x2 tropical matrices to natural max-plus ones, the corner projection
+# and the weak-permutability bound.
 UNBACKED = {
     ("constructions", "lift_scale_UT2"),
     ("constructions", "lift_to_full_Nmax"),
     ("matrices", "project_topleft"),
     ("permutability", "weak_bound"),
-    ("semirings", "srk_leq"),
 }
 
 

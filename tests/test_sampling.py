@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bipermute.errors import BadDimension, DomainError
+from bipermute.errors import DomainError
 from bipermute.matrices import FULL, UNI, UT, Matrix
 from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import (
@@ -285,5 +285,5 @@ def test_sampled_matrices_are_members(name):
                 m = sample_matrix(desc, n, rng, family)
                 assert m.family == family and m.n == n, m
                 assert Matrix.make(desc, family, m.entries) == m  # validates every entry
-    with pytest.raises(BadDimension):
+    with pytest.raises(DomainError, match="matrix must be square and non-empty"):
         sample_matrix(desc, 0, rng)
