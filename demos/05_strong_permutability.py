@@ -13,8 +13,6 @@ from fractions import Fraction as F
 
 from bipermute import (
     Atom,
-    Exhaustive,
-    Sampled,
     apply_perm_product,
     chain,
     chain_congruence,
@@ -34,14 +32,16 @@ from bipermute.sampling import derive_rng, sample_matrix
 # A protecting congruence of a chain: singletons plus the runs between them.
 q = chain_congruence(chain(10), [Atom(3), Atom(7)])
 print("classes of the chain congruence:", q.classes)
-print("lawful quotient:", check_axioms(q.quotient_semiring(), Exhaustive()).passed)
-print("congruence verified:", verify_congruence(q, Exhaustive()).passed)
+print("lawful quotient:", check_axioms(q.quotient_semiring()).passed)
+report = verify_congruence(q)  # the 10-element chain is checked on every case
+print(f"congruence verified ({report.mode}):", report.passed)
 
 # The [1,2] truncation admits the same construction because products of
 # interval elements all saturate to 2.
 q12 = trunc12_congruence([F(3, 2)])
 print("\nclasses over [1,2]:", [type(c).__name__ for c in q12.classes])
-print("sampled verification:", verify_congruence(q12, Sampled(seed=0, trials=5000)).passed)
+report = verify_congruence(q12, seed=0, trials=5000)  # an infinite carrier: seeded draws
+print(f"congruence verified ({report.mode}):", report.passed)
 
 # The pigeonhole finder at work on a full-scale tuple over a 40-chain:
 rng = derive_rng(2024, "strong-demo")

@@ -25,9 +25,10 @@ report = verify_iso(cl.map, cl.source, cl.target, seed=1, trials=2000)
 print("verified as an isomorphism on 2000 exact pairs:", report.passed)
 
 # The canonical classes are genuinely different, and element orders tell most
-# of them apart.  In [0,1] the element 1/n has order n, so orders are unbounded:
+# of them apart.  In [0,1] the element 1/n has order n, so orders are unbounded
+# (each is the closed form ceil(1/a), so no power is computed):
 print()
-print("orders of 1/n in [0,1]:", {f"1/{n}": element_order(trunc(0, 1), F(1, n)).order for n in (2, 10, 50)})
+print("orders of 1/n in [0,1]:", {f"1/{n}": element_order(trunc(0, 1), F(1, n)).order for n in (2, 10, 50, 10**12)})
 
 # In [1,y] the largest order is ceil(y), which separates different ceilings:
 print("max element orders:", {str(y): max_element_order(y) for y in (2, F(5, 2), 3, F(7, 2), 4)})

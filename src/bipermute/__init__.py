@@ -48,9 +48,7 @@ from .quotients import (
 from .scalars import ADJOINED_ID, NEG_INF, Atom, Scalar
 from .semirings import (
     AxiomReport,
-    Exhaustive,
     FiniteSemiringTable,
-    Sampled,
     Semiring,
     adjoin_zero,
     boolean,

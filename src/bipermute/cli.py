@@ -16,7 +16,7 @@ malformed input or parameters, 3 for an internal error (the code contradicted
 a theorem it implements).  The root seed is --seed, 1729 when absent; no
 environment variable changes a report.
 ``axioms`` and ``quotient`` check every element of a finite carrier of at
-most 64 elements, and seeded draws otherwise.
+most 64 elements, and ``--trials`` seeded draws otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .permutability import EXHAUSTIVE_CAP_DEFAULT, Found, IdentityOnly, SearchPo
 from .quotients import protecting_congruence, verify_congruence
 from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import parse_rational, scalar_from_json, scalar_to_json
-from .semirings import DEFAULT_ORDER_CAP, TRUNC, Exhaustive, Sampled, check_axioms, classify_monogenic, element_order
+from .semirings import TRUNC, check_axioms, classify_monogenic, element_order
 from .serialize import (
     SCHEMA_VERSION,
     check_report_to_json,
@@ -51,9 +51,6 @@ from .serialize import (
     witness_to_json,
 )
 from .trunciso import classify_truncated, verify_iso
-
-# Exhaustive law checks cost carrier size cubed: 64 elements are 262,144 triples.
-EXHAUSTIVE_CHECK_MAX_ELEMENTS = 64
 
 
 def _check_counts(args) -> None:
@@ -75,7 +72,7 @@ def _load_json(path: Optional[str]):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer of more digits than Python converts
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -83,7 +80,7 @@ def _load_semiring(args, validate_tables: bool = True):
     if args.inline:
         try:
             obj = json.loads(args.inline)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"malformed inline JSON: {exc}") from exc
         return semiring_from_json(obj, validate_tables=validate_tables)
     if args.semiring:
@@ -95,21 +92,13 @@ def _parse_scalar_arg(text: str):
     """A scalar in its wire format, or a bare rational such as 3/2 or 1.5."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         if text.startswith(("{", "[", '"')):  # meant as JSON, so its error is the one to report
             raise ParseError(f"malformed scalar JSON {text!r}: {exc}") from exc
         obj = text
     if isinstance(obj, float):  # a decimal: parse its text exactly
         obj = text
     return scalar_from_json(obj)
-
-
-def _check_mode(args, desc, default_trials: int):
-    """Every element of a finite carrier up to the budget, else ``--trials`` seeded draws."""
-    size = desc.carrier_size
-    if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS:
-        return Exhaustive()
-    return Sampled(seed=args.seed, trials=args.trials or default_trials)
 
 
 def _truncated(args):
@@ -126,16 +115,15 @@ def _cmd_axioms(args):
     # suspect tables are loaded unvalidated so the law failure lands in the
     # report (with its counterexample) rather than in a parse error
     desc = _load_semiring(args, validate_tables=False)
-    report = check_axioms(desc, _check_mode(args, desc, 1000))
+    report = check_axioms(desc, args.seed, args.trials or 1000)
     return check_report_to_json(report), report.passed
 
 
 def _cmd_classify_element(args):
     desc = _load_semiring(args)
     element = _parse_scalar_arg(args.element)
-    cap = args.cap or DEFAULT_ORDER_CAP
-    order = order_to_json(element_order(desc, element, cap=cap))
-    cls = monogenic_class_to_json(classify_monogenic(desc, element, cap=cap))
+    order = order_to_json(element_order(desc, element))
+    cls = monogenic_class_to_json(classify_monogenic(desc, element))
     return {"element": scalar_to_json(element), "order": order, "classification": cls}, True
 
 
@@ -199,7 +187,7 @@ def _cmd_quotient(args):
     if not isinstance(values, list):
         raise ParseError("quotient input must be a JSON list of scalars")
     quotient = protecting_congruence(desc, [scalar_from_json(v) for v in values])
-    verification = verify_congruence(quotient, _check_mode(args, desc, 2000))
+    verification = verify_congruence(quotient, args.seed, args.trials or 2000)
     fields = {"quotient": quotient_to_json(quotient), "classes": len(quotient.classes)}
     return {**fields, "verification": check_report_to_json(verification)}, verification.passed
 
@@ -248,7 +236,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "classify-element": Command(
         "order and monogenic class of one element",
-        (*_SEMIRING, "--out", "--cap"),
+        (*_SEMIRING, "--out"),
         _cmd_classify_element,
         (("element", {"help": 'scalar literal: 5, "3/2", "-inf", or {"atom": 3}'}),),
     ),

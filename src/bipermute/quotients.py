@@ -27,12 +27,11 @@ from .semirings import (
     CHAIN,
     TRUNC,
     Check,
-    Exhaustive,
     FiniteSemiringTable,
     Law,
-    Sampled,
     Semiring,
     _CheckReport,
+    _exhaustive_carrier,
     check_laws,
     table_semiring,
     trunc,
@@ -232,21 +231,21 @@ def _class_member(desc: Semiring, cls: ClassDesc, rng) -> Optional[Scalar]:
     return None
 
 
-def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
+def verify_congruence(q: CongruenceQuotient, seed: int = 0, trials: int = 2000) -> CongruenceReport:
     """Check the partition, both congruence laws, and table consistency.
 
-    Each law reports its first counterexample.  The partition law runs over
-    every carrier element (exhaustive) or over each draw's free element c
-    and then its class member a (sampled); the other laws run over triples
-    (a, b, c) with a and b in one class, all of them or the drawn ones.
+    Each law reports its first counterexample.  A source carrier of at most
+    ``EXHAUSTIVE_CHECK_MAX_ELEMENTS`` elements is checked on every case: the
+    partition law on every element, the other laws on every triple (a, b, c)
+    with a and b in one class.  Any other carrier is checked on ``trials``
+    draws from ``seed``: the partition law on each draw's free element c and
+    then its class member a, the other laws on the drawn triples.
     """
     desc = q.source
     add, mul, cls = desc._add, desc._mul, q.class_of
 
-    if isinstance(mode, Exhaustive):
-        carrier = desc.carrier_elements()
-        if carrier is None:
-            raise DomainError("carrier is infinite; use sampled verification")
+    carrier = _exhaustive_carrier(desc)
+    if carrier is not None:
         points = [(a,) for a in carrier]
         # the carrier is closed under both operations, so the laws below only
         # ever ask for the class of a carrier element: look each one up once
@@ -258,10 +257,10 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
         cls = class_of.__getitem__
         triples = ((a, b, c) for members in index.values() for a in members for b in members for c in carrier)
         mode_name = "exhaustive"
-    elif isinstance(mode, Sampled):
-        rng = derive_rng(mode.seed, "verify_congruence")
+    else:
+        rng = derive_rng(seed, "verify_congruence")
         points, triples = [], []
-        for _ in range(mode.trials):
+        for _ in range(trials):
             drawn = q.classes[rng.randrange(len(q.classes))]
             a = _class_member(desc, drawn, rng)
             b = _class_member(desc, drawn, rng)
@@ -271,8 +270,6 @@ def verify_congruence(q: CongruenceQuotient, mode) -> CongruenceReport:
                 points.append((a,))
                 triples.append((a, b, c))
         mode_name = "sampled"
-    else:
-        raise DomainError(f"unknown verification mode {mode!r}")
 
     def table_consistent(a, b, c):
         try:

@@ -16,6 +16,7 @@ appear in a matrix entry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -71,12 +72,31 @@ def rational_str(value: Rational) -> str:
     return str(as_fraction(value))
 
 
+def _too_many_digits(text: str) -> bool:
+    """Whether the literal's numerator or denominator has more digits than Python converts to text.
+
+    The limit is ``sys.get_int_max_str_digits()``.  The count is read from
+    the text, before any number is built: "1e30000000" would take minutes to
+    build and could not be printed.  A literal no longer than the limit and
+    with no exponent passes at once.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(text) <= limit and "e" not in text and "E" not in text:
+        return False
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
+    return digits + abs(int(exponent or 0)) > limit
+
+
 def parse_rational(text: Union[str, int]) -> Rational:
-    """Parse "p/q" or an integer literal into an exact rational."""
+    """Parse "p/q", a decimal or an integer literal into an exact rational."""
     if isinstance(text, int) and not isinstance(text, bool):
         return text
+    text = str(text)
     try:
-        frac = Fraction(str(text))
+        if _too_many_digits(text):
+            raise ParseError(f"rational literal needs more than {sys.get_int_max_str_digits()} digits: {text[:40]!r}")
+        frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
     return int(frac) if frac.denominator == 1 else frac

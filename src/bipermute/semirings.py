@@ -450,45 +450,44 @@ class Infinite:
     certificate: str
 
 
-@dataclass(frozen=True)
-class Unknown:
-    cap: int
+OrderResult = Union[Finite, Infinite]
 
 
-OrderResult = Union[Finite, Infinite, Unknown]
-
-DEFAULT_ORDER_CAP = 10_000
-
-
-def element_order(desc: Semiring, a: Scalar, cap: int = DEFAULT_ORDER_CAP) -> OrderResult:
+def element_order(desc: Semiring, a: Scalar) -> OrderResult:
     """Multiplicative order of ``a``: the number of distinct positive powers.
 
-    Powers are iterated until they stabilize (finite order always has period
-    1 in a bipotent semiring).  In the unbounded families an element with
-    ``a != a*a`` has strictly monotone powers and is certified infinite; in
-    every other family the order is finite but possibly larger than ``cap``,
-    in which case Unknown(cap) is returned rather than a guess.
+    The powers of a bipotent semiring are monotone, so a finite order has
+    period 1, and the family gives the order.  An idempotent has order 1.
+    Any other element of an unbounded family has strictly monotone powers
+    and is certified infinite.  The powers min(ta, y) of trunc(x, y) settle
+    at t = ceil(y/a), those of trunc_nat(k) at ceil(k/a) and those of
+    trunc_neg_nat(k) at ceil(k/|a|).  A table's powers are walked, at most
+    ``size`` steps.
     """
     desc.validate(a)
     mul = desc._mul
     sq = mul(a, a)
     if sq == a:
         return Finite(1, 1)
-    if desc.family in _UNBOUNDED_FAMILIES:
+    f = desc.family
+    if f in _UNBOUNDED_FAMILIES:
         side = "a < a*a" if desc._leq(a, sq) else "a*a < a"
-        return Infinite(f"powers of {a!r} are strictly monotone in {desc.family} ({side})")
+        return Infinite(f"powers of {a!r} are strictly monotone in {f} ({side})")
+    if f != TABLE:  # a truncation, where a is neither -inf nor 0 nor the top
+        t = -(-(desc.y if f == TRUNC else desc.k) // abs(a))
+        return Finite(t, t)
     power = sq
-    for t in range(2, cap + 1):
+    for t in range(2, desc.size + 1):
         nxt = mul(power, a)
         if nxt == power:
             return Finite(t, t)
         power = nxt
-    return Unknown(cap)
+    raise DomainError(f"powers of {a!r} do not settle within the table's {desc.size} elements")
 
 
-def period_one_check(desc: Semiring, a: Scalar, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """True iff the stabilized power p of ``a`` satisfies p*a = p."""
-    res = element_order(desc, a, cap)
+def period_one_check(desc: Semiring, a: Scalar) -> bool:
+    """True iff the stabilized power p of ``a`` satisfies p*a = p, walking the powers to p."""
+    res = element_order(desc, a)
     if not isinstance(res, Finite):
         raise DomainError(f"{a!r} does not have verified finite order: {res!r}")
     mul = desc._mul
@@ -518,15 +517,10 @@ class IsoTruncNegNat:
     k: int
 
 
-@dataclass(frozen=True)
-class IsoUnknown:
-    cap: int
+MonogenicClass = Union[IsoNMax, IsoNegNMax, IsoTruncNat, IsoTruncNegNat]
 
 
-MonogenicClass = Union[IsoNMax, IsoNegNMax, IsoTruncNat, IsoTruncNegNat, IsoUnknown]
-
-
-def classify_monogenic(desc: Semiring, a: Scalar, cap: int = DEFAULT_ORDER_CAP) -> MonogenicClass:
+def classify_monogenic(desc: Semiring, a: Scalar) -> MonogenicClass:
     """Identify the subsemiring generated by ``a`` among the four monogenic types.
 
     The generated subsemiring of a bipotent semiring is the set of positive
@@ -534,31 +528,14 @@ def classify_monogenic(desc: Semiring, a: Scalar, cap: int = DEFAULT_ORDER_CAP) 
     type.  An idempotent element generates the one-element semiring, which is
     of both bounded types; it is reported as IsoTruncNat(1).
     """
-    desc.validate(a)
-    sq = desc._mul(a, a)
-    if sq == a:
-        return IsoTruncNat(1)
-    increasing = desc._leq(a, sq)
-    res = element_order(desc, a, cap)
+    res = element_order(desc, a)
+    increasing = desc._leq(a, desc._mul(a, a))
     if isinstance(res, Infinite):
         return IsoNMax() if increasing else IsoNegNMax()
-    if isinstance(res, Finite):
-        return IsoTruncNat(res.order) if increasing else IsoTruncNegNat(res.order)
-    return IsoUnknown(res.cap)
+    return IsoTruncNat(res.order) if increasing else IsoTruncNegNat(res.order)
 
 
 # -- axiom checking ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
-
-
-@dataclass(frozen=True)
-class Sampled:
-    seed: int
-    trials: int = 1000
 
 
 @dataclass(frozen=True)
@@ -657,20 +634,33 @@ def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law,
     return tuple(laws)
 
 
-def check_axioms(desc: Semiring, mode: Union[Exhaustive, Sampled]) -> AxiomReport:
-    """Verify ``semiring_laws`` on every case or on sampled triples: each law's first counterexample."""
+# Exhaustive law checks cost carrier size cubed: 64 elements are 262,144 triples.
+EXHAUSTIVE_CHECK_MAX_ELEMENTS = 64
+
+
+def _exhaustive_carrier(desc: Semiring) -> Optional[list[Scalar]]:
+    """The carrier when a law check runs on every case of it, else None: the check then draws cases."""
+    size = desc.carrier_size
+    return desc.carrier_elements() if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS else None
+
+
+def check_axioms(desc: Semiring, seed: int = 0, trials: int = 1000) -> AxiomReport:
+    """Verify ``semiring_laws``: each law's first counterexample.
+
+    A carrier of at most ``EXHAUSTIVE_CHECK_MAX_ELEMENTS`` elements is checked
+    on every case, any other on ``trials`` triples drawn from ``seed``; the
+    report's ``mode`` says which.
+    """
     laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
-    if isinstance(mode, Exhaustive):
-        carrier = desc.carrier_elements()
-        if carrier is None:
-            raise DomainError(f"{desc.family} has an infinite carrier")
+    carrier = _exhaustive_carrier(desc)
+    if carrier is not None:
         return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, carrier))
     from .sampling import derive_rng, sample_scalar
 
-    rng = derive_rng(mode.seed, "check_axioms", desc.family)
+    rng = derive_rng(seed, "check_axioms", desc.family)
     triples = (
         (sample_scalar(desc, rng), sample_scalar(desc, rng), sample_scalar(desc, rng))
-        for _ in range(mode.trials)
+        for _ in range(trials)
     )
     return AxiomReport(desc, "sampled", check_laws(laws, triples))
 
@@ -727,7 +717,7 @@ def noidentity_obstruction() -> ObstructionReport:
             return old.index(base[old[i]][old[j]])
 
         mul = tuple(tuple(product(i, j) for j in range(4)) for i in range(4))
-        report = check_axioms(table_semiring(FiniteSemiringTable(4, add, mul, validate=False)), Exhaustive())
+        report = check_axioms(table_semiring(FiniteSemiringTable(4, add, mul, validate=False)))
         failed = next((c for c in report.checks if not c.passed), None)
         if failed is not None:
             failed = replace(failed, counterexample=tuple(order[x.index] for x in failed.counterexample))

@@ -8,14 +8,13 @@ inputs and seeds serialize byte-identically.
 from __future__ import annotations
 
 from dataclasses import fields
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParseError
 from .matrices import Matrix
 from .permutability import Found, IdentityOnly, NoneFoundUnderPolicy, PermutationWitness
 from .quotients import CongruenceQuotient, Singleton
-from .scalars import rational_str, scalar_from_json, scalar_to_json
+from .scalars import parse_rational, rational_str, scalar_from_json, scalar_to_json
 from .semirings import (
     BOOLEAN,
     CHAIN,
@@ -28,11 +27,9 @@ from .semirings import (
     TRUNC_NEG_NAT,
     Finite,
     FiniteSemiringTable,
-    Infinite,
     IsoNMax,
     IsoNegNMax,
     IsoTruncNat,
-    IsoTruncNegNat,
     Semiring,
     adjoin_zero,
     boolean,
@@ -90,7 +87,7 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
         elif family == NEG_NAT_MAX:
             desc = neg_nat_max()
         elif family == TRUNC:
-            desc = trunc(Fraction(str(obj["x"])), Fraction(str(obj["y"])))
+            desc = trunc(parse_rational(obj["x"]), parse_rational(obj["y"]))
         elif family == TRUNC_NAT:
             desc = trunc_nat(_json_int(obj["k"], "k"))
         elif family == TRUNC_NEG_NAT:
@@ -224,9 +221,7 @@ def _scalars_to_json(values) -> Optional[list]:
 def order_to_json(res) -> dict:
     if isinstance(res, Finite):
         return {"kind": "finite", "order": res.order, "stabilization_index": res.stabilization_index}
-    if isinstance(res, Infinite):
-        return {"kind": "infinite", "certificate": res.certificate}
-    return {"kind": "unknown", "cap": res.cap}
+    return {"kind": "infinite", "certificate": res.certificate}
 
 
 def monogenic_class_to_json(cls) -> dict:
@@ -236,6 +231,4 @@ def monogenic_class_to_json(cls) -> dict:
         return {"kind": "neg_n_max"}
     if isinstance(cls, IsoTruncNat):
         return {"kind": "trunc_nat", "k": cls.k}
-    if isinstance(cls, IsoTruncNegNat):
-        return {"kind": "trunc_neg_nat", "k": cls.k}
-    return {"kind": "unknown", "cap": cls.cap}
+    return {"kind": "trunc_neg_nat", "k": cls.k}

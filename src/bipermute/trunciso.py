@@ -23,7 +23,7 @@ from typing import Optional, Union
 from .errors import DomainError
 from .sampling import derive_rng, sample_trunc_value
 from .scalars import NEG_INF, Rational, Scalar
-from .semirings import Check, Finite, Law, Semiring, _CheckReport, check_laws, element_order, trunc
+from .semirings import Check, Law, Semiring, _CheckReport, check_laws, trunc
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,17 @@ def max_element_order(y: Rational) -> int:
 
 
 def max_order_by_iteration(y: Rational, samples: int = 0, seed: int = 0) -> int:
-    """Oracle for max_element_order: iterate powers of 1 (and sampled points)."""
+    """Oracle for max_element_order: count the powers of 1 (and of sampled points) until they settle."""
     desc = trunc(1, y)
+    mul = desc._mul
     best = 0
     points: list[Scalar] = [1, Fraction(y)]
     if samples:
         rng = derive_rng(seed, "max_order_by_iteration", str(y))
         points.extend(sample_trunc_value(desc, rng) for _ in range(samples))
     for a in points:
-        res = element_order(desc, a)
-        if isinstance(res, Finite):
-            best = max(best, res.order)
+        power, order = a, 1
+        while (nxt := mul(power, a)) != power:
+            power, order = nxt, order + 1
+        best = max(best, order)
     return best

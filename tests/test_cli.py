@@ -1,11 +1,11 @@
 """End-to-end CLI behaviour: subcommands, exit codes, determinism."""
 
-import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from bipermute import acceptance, cli, permutability
 from bipermute.cli import main
 from bipermute.errors import InvariantViolation
-from bipermute.semirings import Exhaustive, Sampled, adjoin_zero, chain, tropical, trunc_nat, trunc_neg_nat
+from bipermute.semirings import _exhaustive_carrier, adjoin_zero, chain, check_axioms, tropical, trunc_nat, trunc_neg_nat
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,6 +130,26 @@ def test_classify_element(tmp_path):
     assert load(out)["classification"] == {"kind": "n_max"}
     assert main(["classify-element", "--inline", '{"family":"chain","size":4}', '{"atom": 2}', "--out", str(out)]) == 0
     assert load(out)["order"]["order"] == 1
+
+
+def test_classify_element_gives_any_order_in_closed_form(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    started = time.perf_counter()
+    assert main(["classify-element", "--inline", '{"family":"trunc_nat","k":1000000000000}', "1",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 1
+    rep = load(out)
+    assert rep["order"] == {"kind": "finite", "order": 10**12, "stabilization_index": 10**12}
+    assert rep["classification"] == {"kind": "trunc_nat", "k": 10**12}
+    # the order needs no cap, and the command takes none
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-element", "--inline", '{"family":"trunc","x":"1","y":"3"}', "1", "--cap", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("error: unrecognized arguments: --cap 5"), captured.err
 
 
 def test_classify_element_reports_the_scalar_error(tmp_path, capsys):
@@ -257,12 +277,51 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
 
 
+def _one_entry(entry):
+    return lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": 1, "family": "full", "semiring": {"family": "tropical"}, "entries": [[entry]]}])]
+
+
+def _write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+_HUGE_INT = "9" * 5000  # past the 4,300 digits Python converts between int and str
+
+# each is refused from its text: building the number would take minutes, or could not be printed
+_HOSTILE_INPUTS = {
+    "entry_exponent": _one_entry("1e30000000"),
+    "trunc_bound_exponent": lambda tmp: [
+        "classify-semiring", "--inline", '{"family":"trunc","x":"1","y":"1e30000000"}'],
+    "witness_z_exponent": lambda tmp: ["witness", "m3_trunc", "--m", "3", "--z", "1e30000000"],
+    "element_exponent": lambda tmp: ["classify-element", "--inline", '{"family":"tropical"}', "1e300000"],
+    "entry_long_json_integer": lambda tmp: ["product", "--input", str(_write_text(
+        tmp / "m.json", '[{"n": 1, "family": "full", "semiring": {"family": "tropical"}, "entries": [[%s]]}]'
+        % _HUGE_INT))],
+    "inline_long_json_integer": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":%s}' % _HUGE_INT],
+    "element_long_integer": lambda tmp: ["classify-element", "--inline", '{"family":"tropical"}', _HUGE_INT],
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE_INPUTS))
+def test_oversized_numbers_are_one_error_line(tmp_path, case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *_HOSTILE_INPUTS[case](tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+
+
 def test_negative_counts_exit_2(tmp_path, capsys):
     tropical = '{"family":"tropical"}'
     cases = [
         ["axioms", "--inline", tropical, "--trials", "-5"],
         ["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "-1"],
-        ["classify-element", "--inline", '{"family":"trunc","x":"1","y":"3"}', "1", "--cap", "-5"],
         ["witness", "bicyclic_rho", "--m", "-3"],
         ["permute", "--input", str(tmp_path / "unused.json"), "--cap", "-1"],
         ["verify-all", "--trials", "-2", "--item", "noidentity"],
@@ -304,14 +363,17 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_exhaustive_checks_stop_at_the_carrier_budget():
-    args = argparse.Namespace(seed=1729, trials=None)  # as the parser gives it without --seed
-    finite = {chain(64): Exhaustive, chain(65): Sampled, trunc_neg_nat(64): Exhaustive,
-              adjoin_zero(trunc_nat(63)): Exhaustive, adjoin_zero(trunc_nat(64)): Sampled}
-    for desc, mode in finite.items():
+    # the library picks the mode from the carrier: every case of at most 64 elements, else draws
+    finite = {chain(64): True, chain(65): False, trunc_neg_nat(64): True,
+              adjoin_zero(trunc_nat(63)): True, adjoin_zero(trunc_nat(64)): False}
+    for desc, exhaustive in finite.items():
         assert desc.carrier_size == len(desc.carrier_elements())  # counted, not built
-        assert isinstance(cli._check_mode(args, desc, 10), mode), desc
-    assert tropical().carrier_size is None
-    assert isinstance(cli._check_mode(args, tropical(), 10), Sampled)
+        assert _exhaustive_carrier(desc) == (desc.carrier_elements() if exhaustive else None), desc
+    assert tropical().carrier_size is None and _exhaustive_carrier(tropical()) is None
+    # and the reports say which check ran
+    assert check_axioms(chain(65), trials=10).mode == "sampled"
+    assert check_axioms(tropical(), trials=10).mode == "sampled"
+    assert check_axioms(chain(4), trials=10).mode == "exhaustive"
 
 
 # exhaustive checks of these carriers would take 10^9 cases and more

@@ -26,7 +26,7 @@ from bipermute.quotients import (
 )
 from bipermute.sampling import derive_rng, sample_matrix, sample_scalar
 from bipermute.scalars import NEG_INF, Atom
-from bipermute.semirings import Check, Exhaustive, Sampled, chain, check_axioms, table_semiring, tropical, trunc
+from bipermute.semirings import Check, chain, check_axioms, table_semiring, tropical, trunc
 
 
 def test_chain_congruence_layout():
@@ -74,17 +74,17 @@ def test_quotient_tables_are_lawful():
         trunc12_congruence([F(3, 2), F(9, 8)]),
         trunc12_congruence([]),
     ):
-        assert check_axioms(q.quotient_semiring(), Exhaustive()).passed
+        assert check_axioms(q.quotient_semiring()).passed
 
 
 def test_verify_congruence_modes():
-    q = chain_congruence(chain(10), [Atom(3), Atom(7)])
-    assert verify_congruence(q, Exhaustive()).passed
-    q2 = trunc12_congruence([F(3, 2)])
-    report = verify_congruence(q2, Sampled(seed=42, trials=10_000))
-    assert report.passed
-    with pytest.raises(DomainError, match="carrier is infinite; use sampled verification"):
-        verify_congruence(q2, Exhaustive())
+    # the source carrier picks the mode: every case of at most 64 elements, else seeded draws
+    report = verify_congruence(chain_congruence(chain(10), [Atom(3), Atom(7)]))
+    assert report.passed and report.mode == "exhaustive"
+    report = verify_congruence(trunc12_congruence([F(3, 2)]), seed=42, trials=10_000)
+    assert report.passed and report.mode == "sampled"
+    report = verify_congruence(chain_congruence(chain(65), [Atom(3)]), seed=1, trials=50)
+    assert report.passed and report.mode == "sampled"
 
 
 def test_verify_congruence_negative_controls():
@@ -99,7 +99,7 @@ def test_verify_congruence_negative_controls():
     )
     good = trunc12_congruence([F(3, 2)])
     corrupted = CongruenceQuotient(src, classes, (NEG_INF, 0, F(3, 2), F(7, 4)), good.tables)
-    report = verify_congruence(corrupted, Sampled(seed=5, trials=4000))
+    report = verify_congruence(corrupted, seed=5, trials=4000)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "mul_congruence" in failed
@@ -125,7 +125,7 @@ def test_verify_congruence_negative_controls():
         (NEG_INF, 0, 1, F(7, 4)),
         trunc12_congruence([]).tables,
     )
-    report = verify_congruence(overlapping, Sampled(seed=6, trials=4000))
+    report = verify_congruence(overlapping, seed=6, trials=4000)
     assert not report.passed
     assert any(c.name == "partition" and not c.passed for c in report.checks)
     assert report.checks == (
@@ -141,7 +141,7 @@ def test_verify_congruence_reports_a_short_table_at_its_first_counterexample():
     # class 3 has no row, so the first pair that reaches it is inconsistent
     q = chain_congruence(chain(10), [Atom(3), Atom(7)])
     short = CongruenceQuotient(q.source, q.classes, q.reps, chain_congruence(chain(10), [Atom(5)]).tables)
-    assert verify_congruence(short, Exhaustive()).checks == (
+    assert verify_congruence(short).checks == (
         Check("partition", True),
         Check("add_congruence", True),
         Check("mul_congruence", True),
