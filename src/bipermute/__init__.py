@@ -60,7 +60,6 @@ from .semirings import (
     neg_nat_max,
     noidentity_obstruction,
     noidentity_semiring,
-    period_one_check,
     srk_add,
     srk_mul,
     table_semiring,

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DomainError, InvariantViolation
 from .matrices import FULL, Matrix
 from .permutability import PermutationWitness, _checkpointed_total, _first_repeat, _swap_at, _verified
-from .sampling import derive_rng, sample_scalar
 from .scalars import NEG_INF, Atom, Rational, Scalar
 from .semirings import (
     BOOLEAN,
@@ -31,7 +30,6 @@ from .semirings import (
     Law,
     Semiring,
     _CheckReport,
-    _exhaustive_carrier,
     check_laws,
     table_semiring,
     trunc,
@@ -205,71 +203,65 @@ class CongruenceReport(_CheckReport):
     checks: tuple[Check, ...]
 
 
-def _class_member(desc: Semiring, cls: ClassDesc, rng) -> Optional[Scalar]:
-    """A random carrier element of the class, or None if none can be found.
+def _skeleton(desc: Semiring, classes: Sequence[ClassDesc]) -> list[Scalar]:
+    """The carrier points on which every congruence law over ``classes`` is decided.
 
-    Corrupted class descriptors (as fed to verify_congruence by negative
-    tests) may describe intervals that leave the carrier; such draws are
-    rejected rather than crashing the verification.
+    The points are every class end that lies in the carrier, the carrier
+    ends (and -inf and 0 on a truncation), and three points between each
+    pair of neighbouring ends, or every atom of a chain gap with fewer.
+    Each class's membership is constant between neighbouring ends.  Max and
+    min return an argument, and on a truncation [x, y] with y <= 2x every
+    product of interval points saturates to y, so each result is an argument
+    or a carrier end.  A law's truth on (a, b, c) therefore depends only on
+    the end or gap each point lies in and on the order of the points that
+    share a gap, and the skeleton realizes every such configuration.  It is
+    closed under both operations.  Any other source raises DomainError.
     """
-    if isinstance(cls, Singleton):
-        return cls.value
-    if isinstance(cls.lo, Atom):
-        return Atom(rng.randint(cls.lo.index, cls.hi.index))
-    lo, hi = Fraction(cls.lo), Fraction(cls.hi)
-    lo_t = 1 if cls.lo_open else 0
-    hi_t = 63 if cls.hi_open else 64
-    for _ in range(8):
-        t = rng.randint(lo_t, hi_t)
-        value = lo + (hi - lo) * Fraction(t, 64)
-        value = int(value) if value.denominator == 1 else value
-        try:
-            desc.validate(value)
-        except DomainError:
-            continue
-        return value
-    return None
+    atoms = desc.family in (CHAIN, BOOLEAN) and not desc.adjoined_zero
+    if atoms:
+        fixed, ends, key = [], {0, desc.size - 1}, lambda a: a.index
+    elif desc.family == TRUNC and desc.y <= 2 * desc.x:
+        fixed, ends, key = [NEG_INF, 0], {desc.x, desc.y}, Fraction
+    else:
+        raise DomainError("congruences are verified over chains or a truncation [x, y] with y <= 2x")
+    for cls in classes:
+        for end in (cls.value,) if isinstance(cls, Singleton) else (cls.lo, cls.hi):
+            try:
+                desc.validate(end)
+            except DomainError:
+                continue
+            if end not in fixed:
+                ends.add(key(end))
+    marks = sorted(ends)
+    points = list(marks)
+    for lo, hi in zip(marks, marks[1:]):
+        step = 1 if atoms else (hi - lo) / 4
+        points += (lo + t * step for t in (1, 2, 3) if lo + t * step < hi)
+    if atoms:
+        return [Atom(i) for i in sorted(points)]
+    return fixed + [p.numerator if p.denominator == 1 else p for p in sorted(points)]
 
 
-def verify_congruence(q: CongruenceQuotient, seed: int = 0, trials: int = 2000) -> CongruenceReport:
-    """Check the partition, both congruence laws, and table consistency.
+def verify_congruence(q: CongruenceQuotient) -> CongruenceReport:
+    """Check the partition, both congruence laws, and table consistency, exactly.
 
-    Each law reports its first counterexample.  A source carrier of at most
-    ``EXHAUSTIVE_CHECK_MAX_ELEMENTS`` elements is checked on every case: the
-    partition law on every element, the other laws on every triple (a, b, c)
-    with a and b in one class.  Any other carrier is checked on ``trials``
-    draws from ``seed``: the partition law on each draw's free element c and
-    then its class member a, the other laws on the drawn triples.
+    Each law reports its first counterexample.  The laws run on the finite
+    skeleton of ``_skeleton``, which decides them on the whole carrier: the
+    partition law on every skeleton point, the other laws on every triple
+    (a, b, c) with a and b in one class.
     """
     desc = q.source
-    add, mul, cls = desc._add, desc._mul, q.class_of
-
-    carrier = _exhaustive_carrier(desc)
-    if carrier is not None:
-        points = [(a,) for a in carrier]
-        # the carrier is closed under both operations, so the laws below only
-        # ever ask for the class of a carrier element: look each one up once
-        class_of: dict[Scalar, int] = {}
-        index: dict[int, list[Scalar]] = {}
-        for a in carrier:
-            class_of[a] = k = cls(a)
-            index.setdefault(k, []).append(a)
-        cls = class_of.__getitem__
-        triples = ((a, b, c) for members in index.values() for a in members for b in members for c in carrier)
-        mode_name = "exhaustive"
-    else:
-        rng = derive_rng(seed, "verify_congruence")
-        points, triples = [], []
-        for _ in range(trials):
-            drawn = q.classes[rng.randrange(len(q.classes))]
-            a = _class_member(desc, drawn, rng)
-            b = _class_member(desc, drawn, rng)
-            c = sample_scalar(desc, rng)
-            points.append((c,))
-            if a is not None and b is not None:
-                points.append((a,))
-                triples.append((a, b, c))
-        mode_name = "sampled"
+    add, mul = desc._add, desc._mul
+    skeleton = _skeleton(desc, q.classes)
+    # the skeleton is closed under both operations, so the laws below only
+    # ever ask for the class of a skeleton point: look each one up once
+    class_of: dict[Scalar, int] = {}
+    index: dict[int, list[Scalar]] = {}
+    for a in skeleton:
+        class_of[a] = k = q.class_of(a)
+        index.setdefault(k, []).append(a)
+    cls = class_of.__getitem__
+    triples = ((a, b, c) for members in index.values() for a in members for b in members for c in skeleton)
 
     def table_consistent(a, b, c):
         try:
@@ -288,7 +280,8 @@ def verify_congruence(q: CongruenceQuotient, seed: int = 0, trials: int = 2000) 
         ),
         Law("table_consistency", table_consistent, (0, 2)),
     )
-    return CongruenceReport(mode_name, check_laws((partition,), points) + check_laws(pair_laws, triples))
+    points = ((a,) for a in skeleton)
+    return CongruenceReport("certified", check_laws((partition,), points) + check_laws(pair_laws, triples))
 
 
 # -- pigeonhole bounds and the generic transposition finder ------------------

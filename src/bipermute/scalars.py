@@ -98,7 +98,7 @@ def parse_rational(text: Union[str, int]) -> Rational:
             raise ParseError(f"rational literal needs more than {sys.get_int_max_str_digits()} digits: {text[:40]!r}")
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+        raise ParseError(f"not a rational: {text[:40]!r}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
 

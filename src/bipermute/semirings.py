@@ -485,18 +485,6 @@ def element_order(desc: Semiring, a: Scalar) -> OrderResult:
     raise DomainError(f"powers of {a!r} do not settle within the table's {desc.size} elements")
 
 
-def period_one_check(desc: Semiring, a: Scalar) -> bool:
-    """True iff the stabilized power p of ``a`` satisfies p*a = p, walking the powers to p."""
-    res = element_order(desc, a)
-    if not isinstance(res, Finite):
-        raise DomainError(f"{a!r} does not have verified finite order: {res!r}")
-    mul = desc._mul
-    power = a
-    for _ in range(res.stabilization_index - 1):
-        power = mul(power, a)
-    return mul(power, a) == power
-
-
 @dataclass(frozen=True)
 class IsoNMax:
     pass
@@ -638,12 +626,6 @@ def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law,
 EXHAUSTIVE_CHECK_MAX_ELEMENTS = 64
 
 
-def _exhaustive_carrier(desc: Semiring) -> Optional[list[Scalar]]:
-    """The carrier when a law check runs on every case of it, else None: the check then draws cases."""
-    size = desc.carrier_size
-    return desc.carrier_elements() if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS else None
-
-
 def check_axioms(desc: Semiring, seed: int = 0, trials: int = 1000) -> AxiomReport:
     """Verify ``semiring_laws``: each law's first counterexample.
 
@@ -652,9 +634,9 @@ def check_axioms(desc: Semiring, seed: int = 0, trials: int = 1000) -> AxiomRepo
     report's ``mode`` says which.
     """
     laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
-    carrier = _exhaustive_carrier(desc)
-    if carrier is not None:
-        return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, carrier))
+    size = desc.carrier_size
+    if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS:
+        return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, desc.carrier_elements()))
     from .sampling import derive_rng, sample_scalar
 
     rng = derive_rng(seed, "check_axioms", desc.family)

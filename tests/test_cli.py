@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from bipermute import acceptance, cli, permutability
+from bipermute import acceptance, cli, permutability, semirings
 from bipermute.cli import main
 from bipermute.errors import InvariantViolation
-from bipermute.semirings import _exhaustive_carrier, adjoin_zero, chain, check_axioms, tropical, trunc_nat, trunc_neg_nat
+from bipermute.semirings import adjoin_zero, chain, check_axioms, tropical, trunc_nat, trunc_neg_nat
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,14 +103,14 @@ def test_quotient_and_iso(tmp_path):
     xfile = write(tmp_path / "x.json", ["3/2"])
     assert main([
         "quotient", "--inline", '{"family":"trunc","x":"1","y":"2"}',
-        "--input", xfile, "--trials", "500", "--out", str(out),
+        "--input", xfile, "--out", str(out),
     ]) == 0
     rep = load(out)
     assert rep["classes"] == 5 and rep["verification"]["passed"]
 
     chain_x = write(tmp_path / "cx.json", [{"atom": 3}, {"atom": 7}])
     assert main(["quotient", "--inline", '{"family":"chain","size":10}', "--input", chain_x, "--out", str(out)]) == 0
-    assert load(out)["verification"]["mode"] == "exhaustive"
+    assert load(out)["verification"]["mode"] == "certified"
 
     assert main(["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "300", "--out", str(out)]) == 0
     rep = load(out)
@@ -301,6 +301,12 @@ _HOSTILE_INPUTS = {
         % _HUGE_INT))],
     "inline_long_json_integer": lambda tmp: ["axioms", "--inline", '{"family":"trunc_nat","k":%s}' % _HUGE_INT],
     "element_long_integer": lambda tmp: ["classify-element", "--inline", '{"family":"tropical"}', _HUGE_INT],
+    # each entry is accepted, but their 4,301-digit sum cannot be printed
+    "product_past_the_digit_limit": lambda tmp: ["product", "--input", str(_write_text(tmp / "m.json", json.dumps(
+        [{"n": 1, "family": "full", "semiring": {"family": "tropical"}, "entries": [[int("9" * 4300)]]}] * 2)))],
+    # an exponent Python will not convert, in a literal of 5,002 characters
+    "element_long_malformed_literal": lambda tmp: [
+        "classify-element", "--inline", '{"family":"tropical"}', "1e" + _HUGE_INT],
 }
 
 
@@ -315,6 +321,7 @@ def test_oversized_numbers_are_one_error_line(tmp_path, case):
     assert proc.returncode == 2, proc.stderr[-300:]
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+    assert len(proc.stderr.encode()) <= 300, proc.stderr[-300:]
 
 
 def test_negative_counts_exit_2(tmp_path, capsys):
@@ -362,14 +369,19 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     assert captured.err == "internal error: exhaustive hit (1, 0, 2, 3, 4) does not preserve the product (implementation bug)\n"
 
 
-def test_exhaustive_checks_stop_at_the_carrier_budget():
-    # the library picks the mode from the carrier: every case of at most 64 elements, else draws
+def test_exhaustive_checks_stop_at_the_carrier_budget(monkeypatch):
+    # check_axioms picks the mode from the carrier: every case of at most 64 elements, else draws
+    checked = []
+    monkeypatch.setattr(semirings, "_check_on_every_case", lambda laws, carrier: checked.append(carrier) or ())
     finite = {chain(64): True, chain(65): False, trunc_neg_nat(64): True,
               adjoin_zero(trunc_nat(63)): True, adjoin_zero(trunc_nat(64)): False}
     for desc, exhaustive in finite.items():
         assert desc.carrier_size == len(desc.carrier_elements())  # counted, not built
-        assert _exhaustive_carrier(desc) == (desc.carrier_elements() if exhaustive else None), desc
-    assert tropical().carrier_size is None and _exhaustive_carrier(tropical()) is None
+        checked.clear()
+        assert check_axioms(desc, trials=1).mode == ("exhaustive" if exhaustive else "sampled"), desc
+        assert checked == ([desc.carrier_elements()] if exhaustive else []), desc
+    assert tropical().carrier_size is None
+    monkeypatch.undo()
     # and the reports say which check ran
     assert check_axioms(chain(65), trials=10).mode == "sampled"
     assert check_axioms(tropical(), trials=10).mode == "sampled"
@@ -383,8 +395,6 @@ _LARGE_CARRIERS = {
     # a sampled draw builds only the atoms it draws, never the carrier
     "axioms_chain_10_12": lambda tmp: [
         "axioms", "--inline", '{"family":"chain","size":1000000000000}', "--trials", "5"],
-    "quotient_chain_3000": lambda tmp: [
-        "quotient", "--inline", '{"family":"chain","size":3000}', "--input", write(tmp / "x.json", [{"atom": 5}])],
 }
 
 
@@ -397,6 +407,28 @@ def test_large_finite_carriers_are_sampled(tmp_path, case):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report.get("verification", report)["mode"] == "sampled"
+
+
+def test_quotient_of_a_chain_of_10_12_is_certified_at_once(tmp_path):
+    # the congruence is checked on a 17-point skeleton, never on the carrier
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    protected = write(tmp_path / "x.json", [{"atom": 5}, {"atom": 10**9}])
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", "quotient", "--inline",
+                           '{"family":"chain","size":1000000000000}', "--input", protected],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["classes"] == 5 and report["verification"]["mode"] == "certified"
+
+
+def test_quotient_takes_no_seed_and_no_trials(capsys):
+    with pytest.raises(SystemExit):
+        main(["quotient", "--help"])
+    usage = capsys.readouterr().out
+    assert "--input" in usage and "--seed" not in usage and "--trials" not in usage
 
 
 _TROPICAL_SEQ = [
@@ -434,8 +466,8 @@ _PINNED_REPORTS = {
         _NOTHING, 0),
     "quotient": (lambda tmp: [
         "quotient", "--inline", '{"family":"trunc","x":"1","y":"2"}',
-        "--input", write(tmp / "x.json", ["3/2", "7/4"]), "--trials", "50", "--seed", "2"],
-        "af139a882b8b50312f805a489e272437d639bf2c1d3f864e885cd017e45fcdfa",
+        "--input", write(tmp / "x.json", ["3/2", "7/4"])],
+        "3c222ebd78a0d1de86d46d2adf144f77891f20d2eaab0ab98b291fecc9b4ddb9",
         _NOTHING, 0),
     "iso": (lambda tmp: ["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "20"],
         "28940b4efc575b471e716d92494e896137ee1c8f1f066a69ae90b5655f700aa4",
@@ -446,11 +478,11 @@ _PINNED_REPORTS = {
 }
 
 
-# the quotient above is checked by sampling; this one checks every element of its carrier
+# the quotient above is over the truncation [1, 2]; this one is over a chain
 _PINNED = {**_PINNED_REPORTS, "quotient_exhaustive": (
     lambda tmp: ["quotient", "--inline", '{"family":"chain","size":10}',
                  "--input", write(tmp / "x.json", [{"atom": 3}, {"atom": 7}])],
-    "aa305d0e8560595aabf0771ae04de02b677ed65f05f4db641ccc05845cf7537e",
+    "0b624bed002fd9720a418dc436778e21a7f9f2bc2e3cf426d7f321ab8fb1461f",
     _NOTHING, 0)}
 
 

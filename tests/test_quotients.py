@@ -1,5 +1,6 @@
 """Congruence quotients, their verification, and the transposition finders."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from bipermute.quotients import (
     CongruenceQuotient,
     Interval,
     Singleton,
+    _skeleton,
     chain_class_bound,
     chain_congruence,
     kerperm_bound,
@@ -78,13 +80,23 @@ def test_quotient_tables_are_lawful():
 
 
 def test_verify_congruence_modes():
-    # the source carrier picks the mode: every case of at most 64 elements, else seeded draws
-    report = verify_congruence(chain_congruence(chain(10), [Atom(3), Atom(7)]))
-    assert report.passed and report.mode == "exhaustive"
-    report = verify_congruence(trunc12_congruence([F(3, 2)]), seed=42, trials=10_000)
-    assert report.passed and report.mode == "sampled"
-    report = verify_congruence(chain_congruence(chain(65), [Atom(3)]), seed=1, trials=50)
-    assert report.passed and report.mode == "sampled"
+    # every carrier is checked exactly on its skeleton, however large
+    for q in (
+        chain_congruence(chain(10), [Atom(3), Atom(7)]),
+        trunc12_congruence([F(3, 2)]),
+        chain_congruence(chain(65), [Atom(3)]),
+        chain_congruence(chain(10**12), [Atom(5), Atom(10**9)]),
+    ):
+        report = verify_congruence(q)
+        assert report.passed and report.mode == "certified"
+
+
+def test_the_skeleton_of_a_large_chain_has_three_atoms_per_long_gap():
+    q = chain_congruence(chain(10**12), [Atom(5), Atom(10**9)])
+    assert [a.index for a in _skeleton(q.source, q.classes)] == [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+        10**9 - 1, 10**9, 10**9 + 1, 10**9 + 2, 10**9 + 3, 10**9 + 4, 10**12 - 1,
+    ]
 
 
 def test_verify_congruence_negative_controls():
@@ -99,21 +111,19 @@ def test_verify_congruence_negative_controls():
     )
     good = trunc12_congruence([F(3, 2)])
     corrupted = CongruenceQuotient(src, classes, (NEG_INF, 0, F(3, 2), F(7, 4)), good.tables)
-    report = verify_congruence(corrupted, seed=5, trials=4000)
+    report = verify_congruence(corrupted)
     assert not report.passed
-    failed = {c.name for c in report.checks if not c.passed}
-    assert "mul_congruence" in failed
-    bad = next(c for c in report.checks if c.name == "mul_congruence")
-    assert bad.counterexample is not None
-    # each law's first counterexample, in the order the cases are drawn
+    # each law's first counterexample, in skeleton order
     assert report.checks == (
         Check("partition", True),
         Check("add_congruence", True),
-        Check("mul_congruence", False, (0, F(189, 128), F(9, 8))),
-        Check("table_consistency", False, (F(153, 128), F(67, 64))),
+        Check("mul_congruence", False, (0, 1, 1)),
+        Check("table_consistency", False, (1, 1)),
     )
 
-    # overlapping intervals break the partition check
+    # overlapping intervals break the partition check; the first class that
+    # holds a point is its class, so the map itself is an order-convex
+    # congruence, but the 3-class tables do not match it
     overlapping = CongruenceQuotient(
         src,
         (
@@ -125,15 +135,136 @@ def test_verify_congruence_negative_controls():
         (NEG_INF, 0, 1, F(7, 4)),
         trunc12_congruence([]).tables,
     )
-    report = verify_congruence(overlapping, seed=6, trials=4000)
-    assert not report.passed
-    assert any(c.name == "partition" and not c.passed for c in report.checks)
+    report = verify_congruence(overlapping)
     assert report.checks == (
         Check("partition", False, (F(3, 2),)),
-        Check("add_congruence", False, (F(51, 32), F(127, 64), F(3, 2))),
-        Check("mul_congruence", False, (F(225, 128), F(199, 128), 0)),
-        Check("table_consistency", False, (F(91, 64), F(105, 64))),
+        Check("add_congruence", True),
+        Check("mul_congruence", True),
+        Check("table_consistency", False, (NEG_INF, F(8, 5))),
     )
+
+
+@pytest.mark.parametrize(
+    "source",
+    [trunc(1, 3), trunc(1, 5), tropical(), replace(chain(3), adjoined_zero=True)],
+    ids=["trunc_1_3", "trunc_1_5", "tropical", "chain_with_adjoined_zero"],
+)
+def test_verify_congruence_refuses_a_source_outside_the_skeleton_argument(source):
+    q = chain_congruence(chain(3), [Atom(1)])
+    with pytest.raises(DomainError, match="congruences are verified over"):
+        verify_congruence(CongruenceQuotient(source, q.classes, q.reps, q.tables))
+
+
+def _rank(v):
+    """Order key of a scalar or class end: -inf below every rational, atoms by index."""
+    return (0, 0) if v is NEG_INF else (1, v.index if isinstance(v, Atom) else v)
+
+
+def _member(cls, a) -> bool:
+    if isinstance(cls, Singleton):
+        return _rank(a) == _rank(cls.value)
+    lo, hi, x = _rank(cls.lo), _rank(cls.hi), _rank(a)
+    return (lo < x if cls.lo_open else lo <= x) and (x < hi if cls.hi_open else x <= hi)
+
+
+def _whole_carrier_verdicts(q, carrier):
+    """Each law's pass/fail on every case of a finite carrier, or "uncovered" if a point has no class."""
+    held = [[i for i, k in enumerate(q.classes) if _member(k, a)] for a in carrier]
+    if not all(held):
+        return "uncovered"
+    cls = {a: h[0] for a, h in zip(carrier, held)}
+    # the class of each sum and product, by carrier positions
+    add = [[cls[q.source._add(a, c)] for c in carrier] for a in carrier]
+    mul = [[cls[q.source._mul(a, c)] for c in carrier] for a in carrier]
+    of = [cls[a] for a in carrier]
+    pos = range(len(carrier))
+    same = [(i, j) for i in pos for j in pos if of[i] == of[j]]
+    size = q.tables.size
+
+    def consistent(i, k):
+        ci, ck = of[i], of[k]
+        return max(ci, ck) < size and mul[i][k] == q.tables.mul[ci][ck] and add[i][k] == q.tables.add[ci][ck]
+
+    return {
+        "partition": all(len(h) == 1 for h in held),
+        "add_congruence": all(add[i][k] == add[j][k] for i, j in same for k in pos),
+        "mul_congruence": all(mul[i][k] == mul[j][k] and mul[k][i] == mul[k][j] for i, j in same for k in pos),
+        "table_consistency": all(consistent(i, k) for i in pos for k in pos),
+    }
+
+
+def _skeleton_verdicts(q):
+    try:
+        return {c.name: c.passed for c in verify_congruence(q).checks}
+    except DomainError:
+        return "uncovered"
+
+
+def _corrupt(q, rng, ends, other_tables):
+    """``q`` with one or two random faults: a moved end, a flipped open end, a class
+    moved to the front, a class replaced by a random interval, a singleton put
+    in front of the class that holds it, or foreign tables."""
+    classes, tables = list(q.classes), q.tables
+    for _ in range(rng.randint(1, 2)):
+        i, fault = rng.randrange(len(classes)), rng.randrange(7)
+        c = classes[i]
+        if fault == 0 and isinstance(c, Interval):
+            side = rng.choice(["lo", "hi"])
+            classes[i] = replace(c, **{side: rng.choice(ends)})
+        elif fault == 1 and isinstance(c, Singleton):
+            classes[i] = Singleton(rng.choice(ends))
+        elif fault == 2 and isinstance(c, Interval):
+            side = rng.choice(["lo_open", "hi_open"])
+            classes[i] = replace(c, **{side: not getattr(c, side)})
+        elif fault == 3:
+            classes.insert(0, classes.pop(i))
+        elif fault == 4:
+            lo, hi = sorted(rng.sample(ends, 2), key=_rank)
+            classes[i] = Interval(lo, hi, rng.random() < 0.3, rng.random() < 0.3)
+        elif fault == 5:
+            classes.insert(0, Singleton(rng.choice(ends)))
+        else:
+            tables = other_tables
+    return CongruenceQuotient(q.source, tuple(classes), q.reps, tables)
+
+
+def _assert_every_law_both_holds_and_fails(verdicts):
+    for law in ("partition", "add_congruence", "mul_congruence", "table_consistency"):
+        assert {v[law] for v in verdicts if v != "uncovered"} == {True, False}, law
+
+
+def test_skeleton_verdicts_match_the_whole_carrier_on_chains():
+    rng = derive_rng(28, "skeleton-chains")
+    verdicts = []
+    for case in range(600):
+        n = rng.randint(1, 24)
+        desc = chain(n)
+        marks = [Atom(i) for i in rng.sample(range(n), rng.randint(0, min(n, 4)))]
+        q = chain_congruence(desc, marks)
+        if case % 4:
+            ends = [Atom(i) for i in range(-1, n + 1)]
+            other = chain_congruence(desc, [Atom(rng.randrange(n))]).tables
+            q = _corrupt(q, rng, ends, other)
+        verdicts.append(_whole_carrier_verdicts(q, desc.carrier_elements()))
+        assert _skeleton_verdicts(q) == verdicts[-1], (n, q.classes)
+    _assert_every_law_both_holds_and_fails(verdicts)
+
+
+def test_skeleton_verdicts_match_a_fine_grid_on_the_truncation_12():
+    # class ends on the 1/8 grid; the reference grid of 1/40 puts four points
+    # in each gap, none of them a skeleton point of a gap of 1/8
+    rng = derive_rng(28, "skeleton-trunc12")
+    carrier = [NEG_INF, 0, *(1 + F(i, 40) for i in range(41))]
+    carrier = [v.numerator if isinstance(v, F) and v.denominator == 1 else v for v in carrier]
+    ends = [NEG_INF, 0, *(1 + F(i, 8) for i in range(-1, 10))]
+    verdicts = []
+    for case in range(120):
+        q = trunc12_congruence([1 + F(i, 8) for i in rng.sample(range(9), rng.randint(0, 3))])
+        if case % 4:
+            q = _corrupt(q, rng, ends, trunc12_congruence([1 + F(rng.randrange(9), 8)]).tables)
+        verdicts.append(_whole_carrier_verdicts(q, carrier))
+        assert _skeleton_verdicts(q) == verdicts[-1], q.classes
+    _assert_every_law_both_holds_and_fails(verdicts)
 
 
 def test_verify_congruence_reports_a_short_table_at_its_first_counterexample():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipermute import acceptance
 from bipermute.errors import DomainError
 from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import _drawer, derive_rng, sample_scalar
@@ -36,7 +37,6 @@ from bipermute.semirings import (
     neg_nat_max,
     noidentity_obstruction,
     noidentity_semiring,
-    period_one_check,
     semiring_laws,
     srk_add,
     srk_mul,
@@ -302,13 +302,21 @@ def test_order_closed_form_in_trunc_1_y():
             assert res.order == -((-F(y)) // a)  # ceil(y/a)
 
 
-def test_period_one():
-    assert period_one_check(trunc(1, 3), 1)
-    assert period_one_check(boolean(), Atom(0))
-    assert period_one_check(trunc_neg_nat(5), -2)
+def test_period_one(monkeypatch):
+    # the acceptance oracle's walk settles, with period 1, at the closed-form stabilization index
+    for desc, a in ((trunc(1, 3), 1), (boolean(), Atom(0)), (trunc_neg_nat(5), -2)):
+        assert acceptance._monogenic_oracle(desc, a)[0] == element_order(desc, a).stabilization_index
     assert element_order(trunc_neg_nat(5), -2) == Finite(3, 3)
-    with pytest.raises(DomainError, match="does not have verified finite order"):
-        period_one_check(nat_max(), 2)
+    assert acceptance._monogenic_oracle(nat_max(), 2)[0] is None
+    # and the monogenic item counts every finite order whose walk settles elsewhere
+    assert acceptance.item_monogenic(0, trials=40).details["period_failures"] == 0
+    def off_by_one(desc, a):
+        res = element_order(desc, a)
+        return Finite(res.order, res.stabilization_index + 1) if isinstance(res, Finite) else res
+
+    monkeypatch.setattr(acceptance, "element_order", off_by_one)
+    result = acceptance.item_monogenic(0, trials=40)
+    assert not result.passed and result.details["period_failures"] > 0
 
 
 def test_classify_monogenic_examples():
