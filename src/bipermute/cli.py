@@ -31,9 +31,9 @@ from typing import Callable, NamedTuple, Optional
 
 from . import acceptance
 from .constructions import RIGID_FAMILIES, BicyclicElement, bicyclic_mul, bicyclic_rho, default_epsilon
-from .errors import BipermuteError, InvariantViolation, ParseError
+from .errors import BipermuteError, InvariantViolation, ParseError, clip
 from .matrices import seq_product
-from .permutability import EXHAUSTIVE_CAP_DEFAULT, Found, IdentityOnly, SearchPolicy, find_preserving_permutation
+from .permutability import Found, IdentityOnly, SearchPolicy, find_preserving_permutation
 from .quotients import protecting_congruence, verify_congruence
 from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import parse_rational, scalar_from_json, scalar_to_json
@@ -55,10 +55,10 @@ from .trunciso import classify_truncated, verify_iso
 
 
 def _check_counts(args) -> None:
-    for name in ("trials", "cap", "m"):
+    for name in ("trials", "m"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
-            raise ParseError(f"--{name} must be non-negative, got {value}")
+            raise ParseError(f"--{name} must be non-negative, got {clip(value)}")
 
 
 def _load_json(path: Optional[str]):
@@ -95,7 +95,7 @@ def _parse_scalar_arg(text: str):
         obj = json.loads(text)
     except ValueError as exc:
         if text.startswith(("{", "[", '"')):  # meant as JSON, so its error is the one to report
-            raise ParseError(f"malformed scalar JSON {text!r}: {exc}") from exc
+            raise ParseError(f"malformed scalar JSON {clip(text)}: {exc}") from exc
         obj = text
     if isinstance(obj, float):  # a decimal: parse its text exactly
         obj = text
@@ -139,12 +139,7 @@ def _cmd_product(args):
 
 def _cmd_permute(args):
     seq = matrices_from_json(_load_json(args.input))
-    policy = SearchPolicy(
-        exhaustive_cap=args.cap if args.cap is not None else EXHAUSTIVE_CAP_DEFAULT,
-        random_trials=args.trials or 0,
-        seed=args.seed,
-    )
-    witness = find_preserving_permutation(seq, policy)
+    witness = find_preserving_permutation(seq, SearchPolicy(random_trials=args.trials or 0, seed=args.seed))
     return {"length": len(seq), **witness_to_json(witness)}, isinstance(witness, (Found, IdentityOnly))
 
 
@@ -227,7 +222,6 @@ _OPTIONS: dict[str, dict] = {
     "--out": {"help": "write the JSON report here instead of stdout"},
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": f"root seed (default {DEFAULT_SEED})"},
     "--trials": {"type": int, "help": "trial count / fast-mode scale"},
-    "--cap": {"type": int, "help": "exhaustive enumeration cap"},
 }
 _SEMIRING = ("--semiring", "--inline")
 
@@ -246,9 +240,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "product": Command("product of a matrix sequence file", ("--input", "--out"), _cmd_product),
     "permute": Command(
-        "search for a product-preserving permutation",
-        ("--input", "--out", "--seed", "--trials", "--cap"),
-        _cmd_permute,
+        "search for a product-preserving permutation", ("--input", "--out", "--seed", "--trials"), _cmd_permute
     ),
     "witness": Command(
         "generate a named witness family",

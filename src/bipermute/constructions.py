@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, clip
 from .matrices import FULL, UNI, UT, Matrix
 from .scalars import ADJOINED_ID, NEG_INF, Rational, is_rational
 from .semirings import Semiring, nat_max, neg_nat_max, tropical, trunc
@@ -47,11 +47,11 @@ def bicyclic_rho(u: BicyclicElement) -> Matrix:
 def _integer(v) -> int:
     if isinstance(v, Fraction):
         if v.denominator != 1:
-            raise DomainError(f"entry {v!r} is not an integer")
+            raise DomainError(f"entry {clip(v)} is not an integer")
         return int(v)
     if is_rational(v):
         return v
-    raise DomainError(f"entry {v!r} is not an integer")
+    raise DomainError(f"entry {clip(v)} is not an integer")
 
 
 def _check_ut2_tropical(seq) -> None:
@@ -80,7 +80,7 @@ def lift_scale_UT2(seq: list[Matrix], lam: int) -> list[Matrix]:
                 else:
                     shifted = _integer(v) - lam
                     if shifted <= 0:
-                        raise DomainError(f"lambda {lam} is not strictly below entry {v!r}")
+                        raise DomainError(f"lambda {lam} is not strictly below entry {clip(v)}")
                     new.append(shifted)
             rows.append(new)
         out.append(Matrix.make(target, UT, rows))

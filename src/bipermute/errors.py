@@ -20,3 +20,8 @@ class DomainError(BipermuteError):
 
 class InvariantViolation(BipermuteError):
     """The code contradicted a theorem it implements: a bug, not bad input."""
+
+
+def clip(value: object) -> str:
+    """``repr(value)`` cut to 40 characters: an error message echoes no more of its input."""
+    return repr(value)[:40]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, clip
 from .scalars import ADJOINED_ID, NEG_INF, Scalar
 from .semirings import Semiring
 
@@ -49,7 +49,7 @@ class Matrix:
         if n < 1 or any(len(r) != n for r in rows):
             raise DomainError("matrix must be square and non-empty")
         if family not in _FAMILIES:
-            raise DomainError(f"unknown matrix family {family!r}")
+            raise DomainError(f"unknown matrix family {clip(family)}")
         entries = tuple(tuple(r) for r in rows)
         if family == FULL:
             for row in entries:

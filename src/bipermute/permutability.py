@@ -5,13 +5,14 @@ yields its product; strong permutability asserts a non-trivial preserving
 permutation exists for every long-enough tuple.  The searcher here is one
 stream of candidates from a fixed strategy ladder (equal pair, adjacent
 transpositions, general transpositions, random shuffles), then a full
-enumeration.  The strategies only propose; one function, ``_verified``,
-decides every candidate, and the finders of :mod:`bipermute.quotients`
-report through it too.  A general permutation is multiplied out in full.  A
-transposition (i, j) of two equal matrices leaves the sequence unchanged and
-needs no product; any other one is decided as P_i*A_j*M*A_i*S_{j+1} from the
-prefix and suffix products its proposer already holds, so a swap near the
-front of a long sequence costs O(j) products, not O(k).
+enumeration, each rung only as far as its worst case fits ``SEARCH_BUDGET``.
+The strategies only propose; one function, ``_verified``, decides every
+candidate, and the finders of :mod:`bipermute.quotients` report through it
+too.  A general permutation is multiplied out in full.  A transposition
+(i, j) of two equal matrices leaves the sequence unchanged and needs no
+product; any other one is decided as P_i*A_j*M*A_i*S_{j+1} from the prefix
+and suffix products its proposer already holds, so a swap near the front of
+a long sequence costs O(j) products, not O(k).
 
 The rungs after the equal pair, and ``exhaustive_identity_only``, run on an
 integer image of a tropical or truncated tuple (``_integer_image``):
@@ -39,9 +40,7 @@ from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import ADJOINED_ID, NEG_INF
 from .semirings import TROPICAL, TRUNC
 
-EXHAUSTIVE_CAP_DEFAULT = 8
-# The general transposition rung takes O(k^2) products; longer sequences skip it.
-TRANSPOSITION_SCAN_MAX_LENGTH = 2048
+SEARCH_BUDGET = 4 * 10**7  # scalar products a rung that outgrows the length may take, by its worst case
 # The exhaustive sweep memoizes dead states only while at least this many
 # matrices remain, and runs on row vectors below that.  On 30 random tropical
 # 3x3 7-tuples with integer entries that kept at most 1,095 keys (0.69 MiB
@@ -78,7 +77,6 @@ def perm_kind(perm: Perm) -> str:
 
 @dataclass(frozen=True)
 class SearchPolicy:
-    exhaustive_cap: int = EXHAUSTIVE_CAP_DEFAULT
     try_equal_pair: bool = True
     try_adjacent: bool = True
     try_all_transpositions: bool = True
@@ -247,10 +245,23 @@ def _row_sweep(seq: Sequence[Matrix], target: Matrix, tail: tuple, chosen: list[
     return None
 
 
+def _sweep_cost(k: int, n: int) -> int:
+    """W(k, n): the terms of ``_exhaustive_search``'s docstring, then 3 n^3 k! for its leaf checks.
+
+    A sum past ``SEARCH_BUDGET`` returns at once, so a long tuple takes no factorial."""
+    total, falling = 0, k
+    for d in range(2, k + 1):
+        falling *= k - d + 1
+        total += falling * (n**3 if d <= k - 3 else n**2)
+        if total > SEARCH_BUDGET:
+            return total
+    return total + 3 * n**3 * falling
+
+
 def exhaustive_identity_only(seq: Sequence[Matrix]) -> bool:
     """True iff no non-trivial permutation preserves the product (full sweep)."""
-    if len(seq) > EXHAUSTIVE_CAP_DEFAULT:
-        raise DomainError(f"sequence length {len(seq)} exceeds the exhaustive cap {EXHAUSTIVE_CAP_DEFAULT}")
+    if seq and _sweep_cost(len(seq), seq[0].n) > SEARCH_BUDGET:
+        raise DomainError(f"sweeping {len(seq)} matrices exceeds the search budget of {SEARCH_BUDGET} scalar products")
     seq = _integer_image(seq)
     target = seq_product(seq)
     return _exhaustive_search(seq, target) is None
@@ -357,9 +368,8 @@ def _candidates(seq: Sequence[Matrix], policy: SearchPolicy, ends):
         prefixes, suffixes = ends
         if policy.try_adjacent:
             yield from _swaps(seq, prefixes, suffixes, 1, 1, "adjacent")
-        if policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH:
-            first_gap = 2 if policy.try_adjacent else 1
-            yield from _swaps(seq, prefixes, suffixes, first_gap, k, "transposition")
+        if policy.try_all_transpositions:
+            yield from _swaps(seq, prefixes, suffixes, 2 if policy.try_adjacent else 1, k, "transposition")
     if policy.random_trials > 0:
         rng = derive_rng(policy.seed, "find_preserving_permutation", "random")
         identity = identity_perm(k)
@@ -386,7 +396,8 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     ``seq_product`` raises, whichever rung decides.  An exhaustive sweep
     that finds nothing proves the product is identity-only, and one whose
     hit fails to verify raises InvariantViolation; otherwise a failed search
-    is reported as none-found-under-policy.
+    is reported as none-found-under-policy: no rung that ``SEARCH_BUDGET``
+    admits found a witness.
     """
     k = len(seq)
     if k < 2:
@@ -396,17 +407,19 @@ def find_preserving_permutation(seq: Sequence[Matrix], policy: SearchPolicy = Se
     pair = _first_repeat(seq) if policy.try_equal_pair else None
     if pair is not None:
         return _verified(seq, None, _Swap(*pair), "equal_pair")
-    swap_rungs = policy.try_adjacent or (policy.try_all_transpositions and k <= TRANSPOSITION_SCAN_MAX_LENGTH)
-    if not (swap_rungs or policy.random_trials > 0 or k <= policy.exhaustive_cap):
-        return NoneFoundUnderPolicy(policy)
+    cube = seq[0].n ** 3  # a pair is decided in at most five products, a shuffle in k - 1
+    pairs = policy.try_all_transpositions and 5 * k * (k - 1) // 2 * cube <= SEARCH_BUDGET
+    rungs = replace(policy, try_all_transpositions=pairs,
+                    random_trials=min(policy.random_trials, SEARCH_BUDGET // (k * cube)))
+    swap_rungs = rungs.try_adjacent or rungs.try_all_transpositions
     seq = _integer_image(seq)
     ends = prefix_suffix_products(seq) if swap_rungs else None
     target = seq_product(seq) if ends is None else ends[1][0]
-    for strategy, candidate in _candidates(seq, policy, ends):
+    for strategy, candidate in _candidates(seq, rungs, ends):
         hit = _verified(seq, target, candidate, strategy)
         if hit:
             return hit
-    if k <= policy.exhaustive_cap:
+    if _sweep_cost(k, seq[0].n) <= SEARCH_BUDGET:
         perm = _exhaustive_search(seq, target)
         if perm is None:
             return IdentityOnly(k)

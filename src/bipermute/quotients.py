@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, clip
 from .matrices import FULL, Matrix
 from .permutability import PermutationWitness, _checkpointed_total, _first_repeat, _swap_at, _verified
 from .scalars import NEG_INF, Atom, Rational, Scalar
@@ -72,7 +72,7 @@ def _class_index(desc: Semiring, classes: Sequence[ClassDesc], a: Scalar) -> int
     for idx, cls in enumerate(classes):
         if _contains(desc, cls, a):
             return idx
-    raise DomainError(f"{a!r} is not covered by any congruence class")
+    raise DomainError(f"{clip(a)} is not covered by any congruence class")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def chain_congruence(desc: Semiring, protected: Sequence[Scalar]) -> CongruenceQ
     for a in protected:
         desc.validate(a)
         if not isinstance(a, Atom):
-            raise DomainError(f"{a!r} is not a chain atom")
+            raise DomainError(f"{clip(a)} is not a chain atom")
     marks = sorted({a.index for a in protected})
     classes: list[ClassDesc] = []
     reps: list[Scalar] = []

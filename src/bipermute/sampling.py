@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, clip
 from .matrices import FULL, UNI, UT, Matrix
 from .scalars import ADJOINED_ID, NEG_INF, Atom, Scalar
 from .semirings import (
@@ -128,7 +128,7 @@ def _build_drawer(desc: Semiring, denom: int) -> tuple[Draw, Optional[Draw]]:
         n = 40 if f in (NAT_MAX, NEG_NAT_MAX) else desc.k
         scalar = _uniform(range(-1, -n - 1, -1) if f in (NEG_NAT_MAX, TRUNC_NEG_NAT) else range(1, n + 1))
     else:
-        raise DomainError(f"cannot sample from family {f!r}")
+        raise DomainError(f"cannot sample from family {clip(f)}")
     return (_or_neg_inf(scalar) if desc.adjoined_zero else scalar), None
 
 
@@ -178,5 +178,5 @@ def sample_matrix(desc: Semiring, n: int, rng: random.Random, family: str = "ful
         rows = [[ADJOINED_ID if j == i else _proper(desc, draw, bits) if j > i else zero for j in range(n)]
                 for i in range(n)]
     else:
-        raise DomainError(f"unknown matrix family {family!r}")
+        raise DomainError(f"unknown matrix family {clip(family)}")
     return Matrix(desc, family, tuple(map(tuple, rows)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, clip
 
 Rational = Union[int, Fraction]
 
@@ -95,10 +95,10 @@ def parse_rational(text: Union[str, int]) -> Rational:
     text = str(text)
     try:
         if _too_many_digits(text):
-            raise ParseError(f"rational literal needs more than {sys.get_int_max_str_digits()} digits: {text[:40]!r}")
+            raise ParseError(f"rational literal needs more than {sys.get_int_max_str_digits()} digits: {clip(text)}")
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text[:40]!r}") from exc
+        raise ParseError(f"not a rational: {clip(text)}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
 
@@ -113,7 +113,7 @@ def scalar_to_json(value: Scalar) -> object:
     if is_rational(value):
         frac = as_fraction(value)
         return int(frac) if frac.denominator == 1 else str(frac)
-    raise ParseError(f"not a scalar: {value!r}")
+    raise ParseError(f"not a scalar: {clip(value)}")
 
 
 def scalar_from_json(obj: object) -> Scalar:
@@ -123,10 +123,10 @@ def scalar_from_json(obj: object) -> Scalar:
         return ADJOINED_ID
     if isinstance(obj, dict):
         if set(obj) != {"atom"} or not isinstance(obj["atom"], int):
-            raise ParseError(f"bad atom encoding: {obj!r}")
+            raise ParseError(f"bad atom encoding: {clip(obj)}")
         return Atom(obj["atom"])
     if isinstance(obj, bool):
-        raise ParseError(f"bad scalar encoding: {obj!r}")
+        raise ParseError(f"bad scalar encoding: {clip(obj)}")
     if isinstance(obj, (int, str)):
         return parse_rational(obj)
-    raise ParseError(f"bad scalar encoding: {obj!r}")
+    raise ParseError(f"bad scalar encoding: {clip(obj)}")

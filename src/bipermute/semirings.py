@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, clip
 from .scalars import ADJOINED_ID, NEG_INF, Atom, Rational, Scalar, is_rational
 
 TROPICAL = "tropical"
@@ -208,32 +208,32 @@ class Semiring:
         f = self.family
         if f in _ATOM_FAMILIES:
             if not isinstance(a, Atom):
-                raise DomainError(f"{a!r} is not an atom of {f}")
+                raise DomainError(f"{clip(a)} is not an atom of {f}")
             if not 0 <= a.index < self.size:
                 raise DomainError(f"atom index {a.index} out of range for size {self.size}")
             return
         if isinstance(a, Atom) or not is_rational(a):
-            raise DomainError(f"{a!r} is not a rational element of {f}")
+            raise DomainError(f"{clip(a)} is not a rational element of {f}")
         if f == TROPICAL:
             return
         if f == NAT_MAX:
             if not (isinstance(a, int) or a.denominator == 1) or a < 1:
-                raise DomainError(f"{a!r} is not a positive natural number")
+                raise DomainError(f"{clip(a)} is not a positive natural number")
         elif f == NEG_NAT_MAX:
             if not (isinstance(a, int) or a.denominator == 1) or a > -1:
-                raise DomainError(f"{a!r} is not a negative integer")
+                raise DomainError(f"{clip(a)} is not a negative integer")
         elif f == TRUNC:
             # x <= a <= y by integer cross-products; denominators are positive
             xn, xd, yn, yd = self._bounds
             an, ad = a.numerator, a.denominator
             if an and not (xn * ad <= an * xd and an * yd <= yn * ad):
-                raise DomainError(f"{a!r} outside carrier {{-inf,0}} u [{self.x},{self.y}]")
+                raise DomainError(f"{clip(a)} outside carrier {{-inf,0}} u [{self.x},{self.y}]")
         elif f == TRUNC_NAT:
             if not (isinstance(a, int) or a.denominator == 1) or not 1 <= a <= self.k:
-                raise DomainError(f"{a!r} not in [1..{self.k}]")
+                raise DomainError(f"{clip(a)} not in [1..{clip(self.k)}]")
         elif f == TRUNC_NEG_NAT:
             if not (isinstance(a, int) or a.denominator == 1) or not -self.k <= a <= -1:
-                raise DomainError(f"{a!r} not in [-{self.k}..-1]")
+                raise DomainError(f"{clip(a)} not in [-{clip(self.k)}..-1]")
         else:
             raise DomainError(f"unknown family {f!r}")
 
@@ -413,7 +413,7 @@ def _with_adjoined_id(op: Callable[[Scalar, Scalar], Scalar], a: Scalar, b: Scal
         return b if a is ADJOINED_ID else a
     if a is b:
         return a
-    raise DomainError(f"{a!r} + {b!r} is undefined")
+    raise DomainError(f"{clip(a)} + {clip(b)} is undefined")
 
 
 def srk_add(desc: Semiring, a: Scalar, b: Scalar) -> Scalar:
@@ -482,7 +482,7 @@ def element_order(desc: Semiring, a: Scalar) -> OrderResult:
         if nxt == power:
             return Finite(t, t)
         power = nxt
-    raise DomainError(f"powers of {a!r} do not settle within the table's {desc.size} elements")
+    raise DomainError(f"powers of {clip(a)} do not settle within the table's {desc.size} elements")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, clip
 from .matrices import Matrix
 from .permutability import Found, IdentityOnly, NoneFoundUnderPolicy, PermutationWitness
 from .quotients import CongruenceQuotient, Singleton
@@ -68,17 +68,17 @@ def semiring_to_json(desc: Semiring) -> dict:
 def _json_int(value, name: str) -> int:
     """An integer field of the wire format: a JSON integer, never a float or a boolean."""
     if type(value) is not int:
-        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
+        raise ParseError(f"{name} must be a JSON integer, got {clip(value)}")
     return value
 
 
 def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
     if not isinstance(obj, dict) or "family" not in obj:
-        raise ParseError(f"not a semiring object: {obj!r}")
+        raise ParseError(f"not a semiring object: {clip(obj)}")
     family = obj["family"]
     adjoined = obj.get("adjoined_zero", False)
     if not isinstance(adjoined, bool):
-        raise ParseError(f"adjoined_zero must be a JSON boolean, got {adjoined!r}")
+        raise ParseError(f"adjoined_zero must be a JSON boolean, got {clip(adjoined)}")
     try:
         if family == TROPICAL:
             desc = tropical()
@@ -102,9 +102,9 @@ def semiring_from_json(obj: dict, validate_tables: bool = True) -> Semiring:
             size = _json_int(obj["size"], "size")
             desc = table_semiring(FiniteSemiringTable(size, add, mul, validate=validate_tables))
         else:
-            raise ParseError(f"unknown semiring family {family!r}")
+            raise ParseError(f"unknown semiring family {clip(family)}")
     except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ParseError(f"malformed semiring object: {obj!r}") from exc
+        raise ParseError(f"malformed semiring object: {clip(obj)}") from exc
     return adjoin_zero(desc) if adjoined else desc
 
 
@@ -130,9 +130,9 @@ def _matrix_from_json(obj, semirings: dict) -> Matrix:
         rows = [[scalar_from_json(v) for v in row] for row in obj["entries"]]
         m = Matrix.make(desc, obj["family"], rows)
         if m.n != _json_int(obj["n"], "n"):
-            raise ParseError(f"declared dimension {obj['n']} does not match entries")
+            raise ParseError(f"declared dimension {clip(obj['n'])} does not match entries")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed matrix object: {obj!r}") from exc
+        raise ParseError(f"malformed matrix object: {clip(obj)}") from exc
     return m
 
 
@@ -161,7 +161,7 @@ def witness_to_json(w: PermutationWitness) -> dict:
         return {"kind": "identity_only", "perm": None, "strategy": "exhaustive"}
     if isinstance(w, NoneFoundUnderPolicy):
         return {"kind": "none", "perm": None, "strategy": None}
-    raise ParseError(f"not a witness: {w!r}")
+    raise ParseError(f"not a witness: {clip(w)}")
 
 
 def quotient_to_json(q: CongruenceQuotient) -> dict:

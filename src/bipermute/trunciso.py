@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, clip
 from .sampling import derive_rng, sample_trunc_value
 from .scalars import NEG_INF, Rational, Scalar
 from .semirings import Check, Law, Semiring, _CheckReport, check_laws, trunc
@@ -118,7 +118,7 @@ def apply_iso(pl_map: PiecewiseLinearMap, a: Scalar) -> Scalar:
         if seg.contains(a):
             value = seg.slope * a + seg.intercept
             return int(value) if value.denominator == 1 else value
-    raise DomainError(f"{a!r} lies outside the map's domain")
+    raise DomainError(f"{clip(a)} lies outside the map's domain")
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,21 @@ def test_product_and_permute(tmp_path):
 
 def test_permute_none_found_is_nonzero(tmp_path):
     out = tmp_path / "w.json"
-    main(["witness", "u3_nmax", "--m", "9", "--out", str(out)])
+    main(["witness", "u3_nmax", "--m", "10", "--out", str(out)])
     perm_out = tmp_path / "perm.json"
-    # k=9 exceeds the default exhaustive cap and no fast strategy applies
+    # a sweep of ten 3x3 matrices exceeds the search budget and no cheap rung applies
     rc = main(["permute", "--input", str(out), "--out", str(perm_out)])
     assert rc == 1
     assert load(perm_out)["kind"] == "none"
+
+
+def test_permute_sweeps_the_longest_tuple_the_budget_admits(tmp_path):
+    out = tmp_path / "w.json"
+    main(["witness", "u3_nmax", "--m", "9", "--out", str(out)])
+    perm_out = tmp_path / "perm.json"
+    # W(9, 3) = 39,696,480 scalar products fits the budget of 4 * 10^7
+    assert main(["permute", "--input", str(out), "--out", str(perm_out)]) == 0
+    assert load(perm_out)["kind"] == "identity_only"
 
 
 def test_witness_families_and_errors(tmp_path):
@@ -310,12 +319,33 @@ _HOSTILE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_HOSTILE_INPUTS))
+_LONG = "x" * 5000
+
+# each echoes a value of its input in the error message, clipped to 40 characters
+_LONG_ECHOES = {
+    "semiring_family": lambda tmp: ["axioms", "--inline", json.dumps({"family": _LONG})],
+    "atom_encoding": lambda tmp: [
+        "classify-element", "--inline", '{"family":"chain","size":4}', json.dumps({"atom": _LONG})],
+    "scalar_json": lambda tmp: ["classify-element", "--inline", '{"family":"tropical"}', "[" + " " * 5000],
+    "size_not_an_integer": lambda tmp: ["axioms", "--inline", json.dumps({"family": "chain", "size": _LONG})],
+    "adjoined_zero_not_a_boolean": lambda tmp: [
+        "axioms", "--inline", json.dumps({"family": "nat_max", "adjoined_zero": _LONG})],
+    "matrix_family": lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": 1, "family": _LONG, "semiring": {"family": "tropical"}, "entries": [[0]]}])],
+    "nat_max_element": lambda tmp: ["classify-element", "--inline", '{"family":"nat_max"}', "-" + "9" * 4000],
+    "semiring_object": lambda tmp: ["axioms", "--inline", json.dumps({"family": "trunc", "x": "1", "pad": _LONG})],
+    "matrix_object": lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": 1, "family": "full", "semiring": {"family": "tropical"}, "pad": _LONG}])],
+}
+
+
+@pytest.mark.parametrize("case", [*_HOSTILE_INPUTS, *_LONG_ECHOES])
 def test_oversized_numbers_are_one_error_line(tmp_path, case):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *_HOSTILE_INPUTS[case](tmp_path)], env=env,
+    argv = {**_HOSTILE_INPUTS, **_LONG_ECHOES}[case](tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=5)
     assert time.perf_counter() - started < 1
     assert proc.returncode == 2, proc.stderr[-300:]
@@ -330,7 +360,7 @@ def test_negative_counts_exit_2(tmp_path, capsys):
         ["axioms", "--inline", tropical, "--trials", "-5"],
         ["iso", "--inline", '{"family":"trunc","x":"2","y":"5"}', "--trials", "-1"],
         ["witness", "bicyclic_rho", "--m", "-3"],
-        ["permute", "--input", str(tmp_path / "unused.json"), "--cap", "-1"],
+        ["permute", "--input", str(tmp_path / "unused.json"), "--trials", "-1"],
         ["verify-all", "--trials", "-2", "--item", "noidentity"],
     ]
     for argv in cases:
@@ -339,6 +369,11 @@ def test_negative_counts_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --") and captured.err.count("\n") == 1, captured.err
+    # the search budget is worked out from the tuple, so permute takes no --cap
+    with pytest.raises(SystemExit) as exc:
+        main(["permute", "--input", str(tmp_path / "unused.json"), "--cap", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --cap 8\n")
 
     # 0 keeps its meaning: the command's default count
     default, zero = tmp_path / "default.json", tmp_path / "zero.json"

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import time
 import weakref
 from fractions import Fraction as F
 from itertools import permutations
@@ -86,8 +87,8 @@ def test_exhaustive_identity_only_basics():
     rng = derive_rng(4, "exh")
     a = sample_matrix(boolean(), 2, rng)
     assert not exhaustive_identity_only([a, a])
-    with pytest.raises(DomainError, match="sequence length 9 exceeds the exhaustive cap 8"):
-        exhaustive_identity_only([a] * 9)  # the cap is 8
+    with pytest.raises(DomainError, match="sweeping 10 matrices exceeds the search budget of 40000000 scalar products"):
+        exhaustive_identity_only([a] * 10)  # W(10, 2) is past the budget; W(9, 2) is not
     # appending a duplicate of any member forces a witness to exist
     seq = witness_U3_Nmax(4)
     assert exhaustive_identity_only(seq)
@@ -104,6 +105,12 @@ def _lex_first_preserving(seq):
         if apply_perm_product(seq, perm) == target:
             return perm
     return None
+
+
+def _swept(seq, target):
+    """What the ladder returns when the sweep decides: its first hit, or identity-only."""
+    hit = _exhaustive_search(seq, target)
+    return IdentityOnly(len(seq)) if hit is None else Found(hit, perm_kind(hit), "exhaustive")
 
 
 def _small_tropical(n, rng):
@@ -248,10 +255,128 @@ def test_transposition_scan_product_count(monkeypatch, k):
         calls += 1
         return mat_mul(a, b)
 
+    def counting_sweep(seq, target):  # the rung's count is read when the sweep starts
+        swept.append(calls)
+        return _exhaustive_search(seq, target)
+
+    swept = []
     monkeypatch.setattr(permutability, "mat_mul", counting_mat_mul)
-    policy = SearchPolicy(exhaustive_cap=0, try_equal_pair=False, try_adjacent=False)
-    assert isinstance(find_preserving_permutation(witness_U3_Nmax(k), policy), NoneFoundUnderPolicy)
-    assert calls == expected
+    monkeypatch.setattr(permutability, "_exhaustive_search", counting_sweep)
+    policy = SearchPolicy(try_equal_pair=False, try_adjacent=False)
+    assert find_preserving_permutation(witness_U3_Nmax(k), policy) == IdentityOnly(k)
+    assert swept == [expected]
+
+
+def _wide_tropical(n, rng):
+    # entries from a wide range rarely collide, so most such tuples are identity-only
+    rows = [[NEG_INF if rng.randrange(8) == 0 else rng.randint(-256, 256) for _ in range(n)] for _ in range(n)]
+    return Matrix.make(tropical(), FULL, rows)
+
+
+def _row_zero_flat(n, k, rng):
+    """k tropical n x n matrices whose row 0 is (c, -inf, ..., -inf).
+
+    Row 0 of every ordering's product is then (sum of the c, -inf, ...), so
+    each leaf of the sweep matches the target's row 0 and is multiplied out.
+    """
+    rows = lambda: [[rng.randint(-256, 256) for _ in range(n)] for _ in range(n - 1)]
+    return [Matrix.make(tropical(), FULL, [[rng.randint(-9, 9)] + [NEG_INF] * (n - 1)] + rows()) for _ in range(k)]
+
+
+def _sweep_scalar_products(monkeypatch, seq):
+    """The scalar products ``_exhaustive_search`` takes on ``seq``: n^3 per matrix product, n^2 per row product."""
+    n = seq[0].n
+    count = 0
+
+    def counting_mat_mul(a, b):
+        nonlocal count
+        count += n**3
+        return mat_mul(a, b)
+
+    def counting_row_kernel(semiring, family):
+        kernel = _row_kernel(semiring, family)
+
+        def counted(i, row, cols):
+            nonlocal count
+            count += n**2
+            return kernel(i, row, cols)
+
+        return counted
+
+    with monkeypatch.context() as patched:
+        patched.setattr(permutability, "mat_mul", counting_mat_mul)
+        patched.setattr(permutability, "_row_kernel", counting_row_kernel)
+        hit = _exhaustive_search(seq, seq_product(seq))
+    return hit, count
+
+
+def _identity_only_count(monkeypatch, draw):
+    """The sweep's scalar products on the first of ten drawn tuples that is identity-only."""
+    return next(count for hit, count in (_sweep_scalar_products(monkeypatch, draw()) for _ in range(10)) if hit is None)
+
+
+def test_the_sweep_takes_at_most_its_worst_case(monkeypatch):
+    rng = derive_rng(31, "sweep-cost")
+    for n, k in [(3, 2), (2, 3), (2, 5), (2, 6), (3, 6), (3, 7), (3, 8)]:
+        count = _identity_only_count(monkeypatch, lambda: [_wide_tropical(n, rng) for _ in range(k)])
+        assert 0 < count <= permutability._sweep_cost(k, n), (k, n, count)
+    for family in range(3):
+        for m in (4, 6, 8):
+            hit, count = _sweep_scalar_products(monkeypatch, _rigid(family, m))
+            assert hit is None and 0 < count <= permutability._sweep_cost(m, 3), (family, m, count)
+
+
+@pytest.mark.parametrize("k", [4, 5, 7])
+def test_the_sweep_nears_its_worst_case_when_every_leaf_is_multiplied_out(monkeypatch, k):
+    n = 3
+    rng = derive_rng(32, "row-zero-flat", str(k))
+    count = _identity_only_count(monkeypatch, lambda: _row_zero_flat(n, k, rng))
+    worst = permutability._sweep_cost(k, n)
+    leaves = 3 * n**3 * math.factorial(k)
+    assert worst - leaves < count <= worst, (count, worst, leaves)
+
+
+def test_the_sweep_cost_of_a_long_tuple_is_settled_at_once():
+    started = time.perf_counter()
+    assert permutability._sweep_cost(20553, 2) > permutability.SEARCH_BUDGET
+    assert time.perf_counter() - started < 1e-3
+    # the longest tuple swept at each dimension
+    assert [max(k for k in range(2, 12) if permutability._sweep_cost(k, n) <= permutability.SEARCH_BUDGET)
+            for n in range(1, 8)] == [10, 9, 9, 8, 8, 8, 7]
+    assert (permutability._sweep_cost(8, 6), permutability._sweep_cost(9, 3)) == (31_655_232, 39_696_480)
+    assert permutability._sweep_cost(7, 3) == 551_124
+
+
+def test_each_rung_runs_only_as_far_as_the_budget_admits(monkeypatch):
+    seq = witness_U3_Nmax(5)  # identity-only, so every rung runs to its end
+    verified = permutability._verified
+
+    def proposals(budget, trials):
+        proposed = []
+
+        def recording(seq, target, candidate, strategy):
+            proposed.append((strategy, candidate))
+            return verified(seq, target, candidate, strategy)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(permutability, "SEARCH_BUDGET", budget)
+            patched.setattr(permutability, "_verified", recording)
+            w = find_preserving_permutation(seq, SearchPolicy(try_adjacent=False, random_trials=trials))
+        return w, [s for s, _ in proposed], [c for s, c in proposed if s == "random"]
+
+    pairs = 5 * 10 * 27  # at most five 3x3 products for each of the 10 pairs
+    unbounded = 10**9
+    # the shuffles drawn under the budget are the first ones of the seeded stream
+    w, strategies, shuffles = proposals(pairs, 100)  # 10 shuffles of at most 5 * 27 scalar products
+    assert isinstance(w, NoneFoundUnderPolicy) and strategies.count("transposition") == 10
+    assert shuffles == proposals(unbounded, 10)[2] and len(shuffles) >= 9
+    w, strategies, shuffles = proposals(pairs - 1, 100)
+    assert isinstance(w, NoneFoundUnderPolicy) and "transposition" not in strategies
+    assert shuffles == proposals(unbounded, 9)[2]
+    assert proposals(5 * 27 - 1, 100)[1] == []
+    # the sweep runs once its worst case fits
+    assert proposals(permutability._sweep_cost(5, 3), 0)[0] == IdentityOnly(5)
+    assert isinstance(proposals(permutability._sweep_cost(5, 3) - 1, 0)[0], NoneFoundUnderPolicy)
 
 
 def test_exhaustive_search_frees_its_memo_on_return(monkeypatch):
@@ -291,8 +416,7 @@ def test_adjacent_fast_path_agrees_with_naive():
         k = rng.randint(2, 7)
         seq = [sample_matrix(desc, 2, rng) for _ in range(k)]
         target = seq_product(seq)
-        policy = SearchPolicy(try_equal_pair=False, try_all_transpositions=False,
-                              random_trials=0, exhaustive_cap=0)
+        policy = SearchPolicy(try_equal_pair=False, try_all_transpositions=False, random_trials=0)
         w = find_preserving_permutation(seq, policy)
         naive = None
         for t in range(k - 1):
@@ -300,7 +424,7 @@ def test_adjacent_fast_path_agrees_with_naive():
                 naive = transposition(k, t, t + 1)
                 break
         if naive is None:
-            assert isinstance(w, NoneFoundUnderPolicy)
+            assert w == _swept(seq, target)
         else:
             assert isinstance(w, Found) and w.perm == naive and w.strategy == "adjacent"
 
@@ -316,14 +440,14 @@ def test_transposition_scan_agrees_with_naive(adjacent):
         k = rng.randint(2, 7)
         seq = [sample_matrix(desc, 2, rng) for _ in range(k)]
         target = seq_product(seq)
-        policy = SearchPolicy(try_equal_pair=False, try_adjacent=adjacent, random_trials=0, exhaustive_cap=0)
+        policy = SearchPolicy(try_equal_pair=False, try_adjacent=adjacent, random_trials=0)
         w = find_preserving_permutation(seq, policy)
         if adjacent and isinstance(w, Found) and w.strategy == "adjacent":
             continue
         naive = next((transposition(k, i, j) for i in range(k) for j in range(i + first_gap, k)
                       if apply_perm_product(seq, transposition(k, i, j)) == target), None)
         if naive is None:
-            assert isinstance(w, NoneFoundUnderPolicy)
+            assert w == _swept(seq, target)
         else:
             found += 1
             assert isinstance(w, Found) and w.perm == naive and w.strategy == "transposition"
@@ -349,19 +473,21 @@ def test_transposition_stage_and_policy_gates():
     b = Matrix.make(tropical(), FULL, [[0, NEG_INF], [1, 0]])
     assert mat_mul(a, b) != mat_mul(b, a)
     seq = [a, b, a]
-    no_equal = SearchPolicy(try_equal_pair=False, try_adjacent=False, random_trials=0, exhaustive_cap=0)
+    no_equal = SearchPolicy(try_equal_pair=False, try_adjacent=False, random_trials=0)
     w = find_preserving_permutation(seq, no_equal)
     assert isinstance(w, Found) and w.perm == (2, 1, 0) and w.strategy == "transposition"
     nothing = SearchPolicy(try_equal_pair=False, try_adjacent=False, try_all_transpositions=False,
-                           random_trials=0, exhaustive_cap=0)
-    assert isinstance(find_preserving_permutation(seq, nothing), NoneFoundUnderPolicy)
+                           random_trials=0)
+    assert find_preserving_permutation(seq, nothing) == _swept(seq, seq_product(seq))
+    # ten 2x2 matrices are past the sweep's budget, so no rung runs
+    assert isinstance(find_preserving_permutation([a, b] * 5, nothing), NoneFoundUnderPolicy)
 
 
 def test_random_stage_is_deterministic():
     rng = derive_rng(8, "rand-stage")
     seq = [sample_matrix(boolean(), 2, rng) for _ in range(10)]
     policy = SearchPolicy(try_equal_pair=False, try_adjacent=False, try_all_transpositions=False,
-                          random_trials=50, exhaustive_cap=0, seed=123)
+                          random_trials=50, seed=123)  # ten 2x2 matrices are past the sweep's budget
     w1 = find_preserving_permutation(seq, policy)
     w2 = find_preserving_permutation(seq, policy)
     assert w1 == w2
@@ -678,8 +804,8 @@ def test_integer_valued_and_other_tuples_are_passed_through():
 def test_searches_on_the_integer_image_agree_with_the_plain_path(monkeypatch):
     rungs_off = {"try_equal_pair": False, "try_adjacent": False, "try_all_transpositions": False}
     policies = (SearchPolicy(), SearchPolicy(**rungs_off),  # the whole ladder, then the sweep alone
-                SearchPolicy(**{**rungs_off, "try_all_transpositions": True}, exhaustive_cap=0),
-                SearchPolicy(**rungs_off, random_trials=3, seed=5, exhaustive_cap=0))
+                SearchPolicy(**{**rungs_off, "try_all_transpositions": True}),
+                SearchPolicy(**rungs_off, random_trials=3, seed=5))
     seen = []
     for label, seq in _image_sequences():
         with_image = [find_preserving_permutation(seq, p) for p in policies] + [exhaustive_identity_only(seq)]
@@ -690,5 +816,5 @@ def test_searches_on_the_integer_image_agree_with_the_plain_path(monkeypatch):
         seen += [getattr(w, "strategy", type(w).__name__) for w in with_image[:-1]]
     # every rung decides on the image somewhere, and some tuples are identity-only
     assert set(seen) == {"equal_pair", "adjacent", "transposition", "random", "exhaustive",
-                         "IdentityOnly", "NoneFoundUnderPolicy"}, set(seen)
+                         "IdentityOnly"}, set(seen)
     assert seen.count("IdentityOnly") >= 10
