@@ -15,9 +15,9 @@ informational), 1 when a check failed or a search was inconclusive, 2 for
 malformed input or parameters, 3 for an internal error (the code contradicted
 a theorem it implements).  The root seed is --seed, 1729 when absent; no
 environment variable changes a report.
-``axioms`` checks every element of a finite carrier of at most 64 elements,
-and ``--trials`` seeded draws otherwise; ``quotient`` checks its congruence
-exactly, on a finite skeleton of the carrier.
+``axioms`` checks every case of a finite carrier whose worst case fits the
+search budget (up to 116 elements), and ``--trials`` seeded draws otherwise;
+``quotient`` checks its congruence exactly, on a finite skeleton of the carrier.
 """
 
 from __future__ import annotations
@@ -272,12 +272,18 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line and exit code 2, like every other input error; ``--help`` is unchanged."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bipermute",
         description="Exact computations in matrix semigroups over bipotent semirings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag in command.options:

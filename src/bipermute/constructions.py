@@ -201,7 +201,7 @@ def witness_M3_trunc(z: Rational, eps: Rational, m: int) -> list[Matrix]:
     if not z > 2:
         raise DomainError("need z > 2")
     if not 0 < eps < z - 2:
-        raise DomainError(f"epsilon must lie strictly between 0 and z-2 = {z - 2}")
+        raise DomainError(f"epsilon must lie strictly between 0 and z-2 = {clip(z - 2, str)}")
     desc = trunc(1, z)
     out = []
     for i in range(1, m + 1):

@@ -22,6 +22,8 @@ class InvariantViolation(BipermuteError):
     """The code contradicted a theorem it implements: a bug, not bad input."""
 
 
-def clip(value: object) -> str:
-    """``repr(value)`` cut to 40 characters: an error message echoes no more of its input."""
-    return repr(value)[:40]
+def clip(value: object, show=repr) -> str:
+    """``show(value)`` cut to 40 characters: an error message echoes no more of its input.
+
+    ``show=str`` writes a number as it is read: 3/2, not Fraction(3, 2)."""
+    return show(value)[:40]

@@ -38,9 +38,8 @@ from .errors import DomainError, InvariantViolation
 from .matrices import FULL, Matrix, _check_pair, _row_kernel, mat_mul, prefix_suffix_products, seq_product
 from .sampling import DEFAULT_SEED, derive_rng
 from .scalars import ADJOINED_ID, NEG_INF
-from .semirings import TROPICAL, TRUNC
+from .semirings import SEARCH_BUDGET, TROPICAL, TRUNC
 
-SEARCH_BUDGET = 4 * 10**7  # scalar products a rung that outgrows the length may take, by its worst case
 # The exhaustive sweep memoizes dead states only while at least this many
 # matrices remain, and runs on row vectors below that.  On 30 random tropical
 # 3x3 7-tuples with integer entries that kept at most 1,095 keys (0.69 MiB

@@ -122,7 +122,7 @@ def scalar_from_json(obj: object) -> Scalar:
     if obj == "id":
         return ADJOINED_ID
     if isinstance(obj, dict):
-        if set(obj) != {"atom"} or not isinstance(obj["atom"], int):
+        if set(obj) != {"atom"} or type(obj["atom"]) is not int:  # a JSON integer, not a boolean
             raise ParseError(f"bad atom encoding: {clip(obj)}")
         return Atom(obj["atom"])
     if isinstance(obj, bool):

@@ -48,6 +48,8 @@ TABLE = "table"
 _ATOM_FAMILIES = (CHAIN, BOOLEAN, TABLE)
 _UNBOUNDED_FAMILIES = (TROPICAL, NAT_MAX, NEG_NAT_MAX)
 
+SEARCH_BUDGET = 4 * 10**7  # scalar operations any exhaustive enumeration may take, by its worst case
+
 
 @dataclass(frozen=True)
 class FiniteSemiringTable:
@@ -56,7 +58,8 @@ class FiniteSemiringTable:
     ``add`` and ``mul`` are size x size tables of element indices.  The laws
     ``check_axioms`` reports (``semiring_laws``) are checked on every index
     case at construction so downstream code may assume lawfulness; a broken
-    law raises DomainError naming it and its first counterexample.
+    law raises DomainError naming it and its first counterexample, and so
+    does a table too large for ``exhaustive_check_fits``.
     """
 
     size: int
@@ -76,6 +79,8 @@ class FiniteSemiringTable:
             if any(not (0 <= v < n) for row in t for v in row):
                 raise DomainError(f"{name} table contains an out-of-range index")
         if self.validate:
+            if not exhaustive_check_fits(n):
+                raise DomainError(f"a table of {n} elements exceeds the search budget of {SEARCH_BUDGET} scalar operations")
             laws = semiring_laws(lambda a, b: add[a][b], lambda a, b: mul[a][b], self.is_commutative)
             for check in _check_on_every_case(laws, range(n)):
                 if not check.passed:
@@ -227,7 +232,7 @@ class Semiring:
             xn, xd, yn, yd = self._bounds
             an, ad = a.numerator, a.denominator
             if an and not (xn * ad <= an * xd and an * yd <= yn * ad):
-                raise DomainError(f"{clip(a)} outside carrier {{-inf,0}} u [{self.x},{self.y}]")
+                raise DomainError(f"{clip(a)} outside carrier {{-inf,0}} u [{clip(self.x, str)},{clip(self.y, str)}]")
         elif f == TRUNC_NAT:
             if not (isinstance(a, int) or a.denominator == 1) or not 1 <= a <= self.k:
                 raise DomainError(f"{clip(a)} not in [1..{clip(self.k)}]")
@@ -366,7 +371,7 @@ def neg_nat_max(adjoined_zero: bool = False) -> Semiring:
 def trunc(x: Rational, y: Rational) -> Semiring:
     x, y = Fraction(x), Fraction(y)
     if not 0 <= x < y:
-        raise DomainError(f"truncated semiring needs 0 <= x < y, got [{x},{y}]")
+        raise DomainError(f"truncated semiring needs 0 <= x < y, got [{clip(x, str)},{clip(y, str)}]")
     return Semiring(TRUNC, x=x, y=y)
 
 
@@ -622,20 +627,22 @@ def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law,
     return tuple(laws)
 
 
-# Exhaustive law checks cost carrier size cubed: 64 elements are 262,144 triples.
-EXHAUSTIVE_CHECK_MAX_ELEMENTS = 64
+def exhaustive_check_fits(size: int) -> bool:
+    """Whether ``semiring_laws`` on every case over ``size`` elements fits ``SEARCH_BUDGET``:
+    a triple takes at most 25 scalar operations and a pair 5, so 116 elements fit."""
+    return 25 * size**3 + 5 * size**2 <= SEARCH_BUDGET
 
 
 def check_axioms(desc: Semiring, seed: int = 0, trials: int = 1000) -> AxiomReport:
     """Verify ``semiring_laws``: each law's first counterexample.
 
-    A carrier of at most ``EXHAUSTIVE_CHECK_MAX_ELEMENTS`` elements is checked
-    on every case, any other on ``trials`` triples drawn from ``seed``; the
-    report's ``mode`` says which.
+    A finite carrier that ``exhaustive_check_fits`` is checked on every case,
+    any other on ``trials`` triples drawn from ``seed``; the report's
+    ``mode`` says which.
     """
     laws = semiring_laws(desc._add, desc._mul, desc.claims_commutative)
     size = desc.carrier_size
-    if size is not None and size <= EXHAUSTIVE_CHECK_MAX_ELEMENTS:
+    if size is not None and exhaustive_check_fits(size):
         return AxiomReport(desc, "exhaustive", _check_on_every_case(laws, desc.carrier_elements()))
     from .sampling import derive_rng, sample_scalar
 

@@ -84,7 +84,7 @@ def classify_truncated(x: Rational, y: Rational) -> IsoClassification:
     """Pick the canonical target for the truncation on [x, y] and build the map."""
     x, y = Fraction(x), Fraction(y)
     if not 0 <= x < y:
-        raise DomainError(f"need 0 <= x < y, got [{x},{y}]")
+        raise DomainError(f"need 0 <= x < y, got [{clip(x, str)},{clip(y, str)}]")
     source = trunc(x, y)
     if x == 0:
         segments = (Segment(x, y, Fraction(1, y), Fraction(0)),)

@@ -12,8 +12,18 @@ import pytest
 
 from bipermute import acceptance, cli, permutability, semirings
 from bipermute.cli import main
-from bipermute.errors import InvariantViolation
-from bipermute.semirings import adjoin_zero, chain, check_axioms, tropical, trunc_nat, trunc_neg_nat
+from bipermute.errors import DomainError, InvariantViolation
+from bipermute.quotients import chain_congruence
+from bipermute.scalars import Atom
+from bipermute.semirings import (
+    FiniteSemiringTable,
+    adjoin_zero,
+    chain,
+    check_axioms,
+    tropical,
+    trunc_nat,
+    trunc_neg_nat,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -272,6 +282,8 @@ _MALFORMED_INPUTS = {
         "classify-element", "--inline", '{"family":"chain","size":5}', '{"atom": 3'],
     "quotient_input_is_an_object": lambda tmp: [
         "quotient", "--inline", '{"family":"chain","size":4}', "--input", write(tmp / "x.json", {"atom": 1})],
+    # an atom index is a JSON integer, not a boolean, as every integer field is
+    "atom_is_a_boolean": lambda tmp: ["classify-element", "--inline", '{"family":"chain","size":4}', '{"atom": true}'],
 }
 
 
@@ -336,22 +348,72 @@ _LONG_ECHOES = {
     "semiring_object": lambda tmp: ["axioms", "--inline", json.dumps({"family": "trunc", "x": "1", "pad": _LONG})],
     "matrix_object": lambda tmp: ["product", "--input", write(
         tmp / "m.json", [{"n": 1, "family": "full", "semiring": {"family": "tropical"}, "pad": _LONG}])],
+    # a bound is echoed clipped too, whole numbers of 4,000 digits being accepted
+    "trunc_bounds_out_of_order": lambda tmp: [
+        "classify-semiring", "--inline", json.dumps({"family": "trunc", "x": "9" * 4000, "y": "1"})],
+    "entry_outside_long_bounds": lambda tmp: ["product", "--input", write(tmp / "m.json", [{
+        "n": 1, "family": "full", "semiring": {"family": "trunc", "x": "9" * 4000, "y": "9" * 4001}, "entries": [[1]]}])],
+    "epsilon_past_long_z": lambda tmp: ["witness", "m3_trunc", "--m", "3", "--z", "9" * 4000, "--eps", "-1"],
 }
+
+
+def _run_cli(argv, seconds):
+    """Run the command in a fresh process, as a user would; fail if it takes ``seconds``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - started < seconds
+    return proc
 
 
 @pytest.mark.parametrize("case", [*_HOSTILE_INPUTS, *_LONG_ECHOES])
 def test_oversized_numbers_are_one_error_line(tmp_path, case):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    started = time.perf_counter()
-    argv = {**_HOSTILE_INPUTS, **_LONG_ECHOES}[case](tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "bipermute.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=5)
-    assert time.perf_counter() - started < 1
+    proc = _run_cli({**_HOSTILE_INPUTS, **_LONG_ECHOES}[case](tmp_path), 1)
     assert proc.returncode == 2, proc.stderr[-300:]
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
     assert len(proc.stderr.encode()) <= 300, proc.stderr[-300:]
+
+
+def _table(n):
+    """A lawful table of ``n`` elements: max and min of a chain."""
+    return {"family": "table", "size": n, "add": [[max(i, j) for j in range(n)] for i in range(n)],
+            "mul": [[min(i, j) for j in range(n)] for i in range(n)]}
+
+
+# each would enumerate far past the search budget: 2,001 quotient classes, or a 1,000-element table
+_OVERSIZED_ENUMERATIONS = {
+    "quotient_of_1000_atoms": lambda tmp: ["quotient", "--inline", '{"family":"chain","size":1000000}', "--input",
+                                           write(tmp / "x.json", [{"atom": 997 * i + 3} for i in range(1000)])],
+    "element_of_a_1000_table": lambda tmp: ["classify-element", "--semiring", write(tmp / "t.json", _table(1000)),
+                                            '{"atom": 1}'],
+    "product_over_a_1000_table": lambda tmp: ["product", "--input", write(
+        tmp / "m.json", [{"n": 1, "family": "full", "semiring": _table(1000), "entries": [[{"atom": 1}]]}])],
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERSIZED_ENUMERATIONS))
+def test_oversized_enumerations_are_one_error_line(tmp_path, case):
+    proc = _run_cli(_OVERSIZED_ENUMERATIONS[case](tmp_path), 5)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+    assert "exceeds the search budget" in proc.stderr and len(proc.stderr.encode()) <= 300, proc.stderr[-300:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["permute", "--input", "x.json", "--bogus"],
+    ["permute", "--trials", "abc"],
+    [],
+    ["no-such-command"],
+], ids=["unknown_option", "trials_not_an_integer", "missing_command", "unknown_command"])
+def test_usage_errors_are_one_line(argv):
+    proc = _run_cli(argv, 5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert len(proc.stderr.encode()) <= 300, proc.stderr
 
 
 def test_negative_counts_exit_2(tmp_path, capsys):
@@ -405,20 +467,45 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_exhaustive_checks_stop_at_the_carrier_budget(monkeypatch):
-    # check_axioms picks the mode from the carrier: every case of at most 64 elements, else draws
+    # one admission for every exhaustive law check: n elements iff their worst case,
+    # 25 n^3 + 5 n^2 scalar operations, fits the one search budget
+    assert permutability.SEARCH_BUDGET is semirings.SEARCH_BUDGET
+    limit = max(n for n in range(1, 1000) if 25 * n**3 + 5 * n**2 <= semirings.SEARCH_BUDGET)
+    assert limit == 116  # the boundary README states
     checked = []
-    monkeypatch.setattr(semirings, "_check_on_every_case", lambda laws, carrier: checked.append(carrier) or ())
-    finite = {chain(64): True, chain(65): False, trunc_neg_nat(64): True,
-              adjoin_zero(trunc_nat(63)): True, adjoin_zero(trunc_nat(64)): False}
+    monkeypatch.setattr(semirings, "_check_on_every_case", lambda laws, carrier: checked.append(len(carrier)) or ())
+    finite = {chain(limit): True, chain(limit + 1): False, trunc_neg_nat(limit): True,
+              adjoin_zero(trunc_nat(limit - 1)): True, adjoin_zero(trunc_nat(limit)): False}
     for desc, exhaustive in finite.items():
         assert desc.carrier_size == len(desc.carrier_elements())  # counted, not built
         checked.clear()
         assert check_axioms(desc, trials=1).mode == ("exhaustive" if exhaustive else "sampled"), desc
-        assert checked == ([desc.carrier_elements()] if exhaustive else []), desc
+        assert checked == ([limit] if exhaustive else []), desc
     assert tropical().carrier_size is None
+    # a validated table, and a quotient before it fills its table, is refused past the budget
+    for n in (limit, limit + 1):
+        checked.clear()
+        tables = (tuple(tuple(max(i, j) for j in range(n)) for i in range(n)),
+                  tuple(tuple(min(i, j) for j in range(n)) for i in range(n)))
+        if n == limit:
+            FiniteSemiringTable(n, *tables)
+            # atoms 1, 3, .., 115 of chain(116): one class each, and one below each
+            assert len(chain_congruence(chain(n), [Atom(i) for i in range(1, n, 2)]).classes) == n
+            assert checked == [n, n]
+            continue
+        with pytest.raises(DomainError, match=f"^a table of {n} elements exceeds the search budget"):
+            FiniteSemiringTable(n, *tables)
+        with pytest.raises(DomainError, match=f"^a quotient of {n} classes exceeds the search budget"):
+            chain_congruence(chain(n), [Atom(i) for i in range(1, n, 2)])
+        assert checked == []
+        FiniteSemiringTable(n, *tables, validate=False)  # loaded unvalidated, for axioms to sample
+    # the boundary moves with the constant
+    monkeypatch.setattr(semirings, "SEARCH_BUDGET", 25 * 10**3 + 5 * 10**2)
+    assert check_axioms(chain(10), trials=1).mode == "exhaustive"
+    assert check_axioms(chain(11), trials=1).mode == "sampled"
     monkeypatch.undo()
     # and the reports say which check ran
-    assert check_axioms(chain(65), trials=10).mode == "sampled"
+    assert check_axioms(chain(limit + 1), trials=10).mode == "sampled"
     assert check_axioms(tropical(), trials=10).mode == "sampled"
     assert check_axioms(chain(4), trials=10).mode == "exhaustive"
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipermute import acceptance
+from bipermute import acceptance, semirings
 from bipermute.errors import DomainError
 from bipermute.quotients import trunc12_congruence
 from bipermute.sampling import _drawer, derive_rng, sample_scalar
@@ -33,6 +33,7 @@ from bipermute.semirings import (
     check_laws,
     classify_monogenic,
     element_order,
+    exhaustive_check_fits,
     nat_max,
     neg_nat_max,
     noidentity_obstruction,
@@ -373,6 +374,47 @@ def test_check_axioms_exhaustive(desc):
     assert report.passed and report.mode == "exhaustive"
 
 
+# a lawful table that does not commute: a * b = b
+_RIGHT_PROJECTION = FiniteSemiringTable(10, tuple(tuple(max(i, j) for j in range(10)) for i in range(10)),
+                                        tuple(tuple(range(10)) for _ in range(10)))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [chain(10), trunc_nat(10), trunc_neg_nat(10), table_semiring(_RIGHT_PROJECTION), adjoin_zero(trunc_nat(9))],
+    ids=["chain", "trunc_nat", "trunc_neg_nat", "noncommutative_table", "adjoined_zero"],
+)
+def test_exhaustive_checks_take_at_most_their_admitted_scalar_operations(monkeypatch, desc):
+    """``exhaustive_check_fits`` admits n elements by 25 n^3 + 5 n^2 scalar operations.
+
+    Count every addition and multiplication the laws make, through
+    ``check_axioms`` and through table validation: a lawful commutative
+    carrier takes exactly that many, and no carrier takes more."""
+    counts = []
+
+    def counting_laws(add, mul, commutative):
+        def count(op):
+            def counted(a, b):
+                counts[-1] += 1
+                return op(a, b)
+
+            return counted
+
+        return semiring_laws(count(add), count(mul), commutative)
+
+    monkeypatch.setattr(semirings, "semiring_laws", counting_laws)
+    n = desc.carrier_size
+    assert n == 10 and exhaustive_check_fits(n)
+    counts.append(0)
+    assert check_axioms(desc).mode == "exhaustive"
+    if desc.family == "table":
+        counts.append(0)
+        FiniteSemiringTable(n, desc.table.add, desc.table.mul)
+    bound = 25 * n**3 + 5 * n**2
+    assert all(count <= bound for count in counts), counts
+    assert counts == [bound if desc.claims_commutative else 25 * n**3 + 3 * n**2] * len(counts)
+
+
 def test_check_axioms_sampled_and_infeasible():
     # an infinite carrier, where no exhaustive check is feasible, is checked on seeded draws
     report = check_axioms(trunc(1, 2), seed=1, trials=1000)
@@ -380,7 +422,7 @@ def test_check_axioms_sampled_and_infeasible():
     report = check_axioms(tropical(), seed=1, trials=500)
     assert report.passed and report.mode == "sampled"
     # the draws follow the seed
-    assert check_axioms(chain(100), seed=3, trials=50) == check_axioms(chain(100), seed=3, trials=50)
+    assert check_axioms(chain(1000), seed=3, trials=50) == check_axioms(chain(1000), seed=3, trials=50)
 
 
 def test_check_axioms_reports_counterexample():
