@@ -23,7 +23,5 @@ class InvariantViolation(BipermuteError):
 
 
 def clip(value: object, show=repr) -> str:
-    """``show(value)`` cut to 40 characters: an error message echoes no more of its input.
-
-    ``show=str`` writes a number as it is read: 3/2, not Fraction(3, 2)."""
+    """``show(value)`` cut to 40 characters, an error message echoing no more; ``show=str`` writes 3/2."""
     return show(value)[:40]

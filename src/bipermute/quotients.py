@@ -24,7 +24,6 @@ from .scalars import NEG_INF, Atom, Rational, Scalar
 from .semirings import (
     BOOLEAN,
     CHAIN,
-    SEARCH_BUDGET,
     TRUNC,
     Check,
     FiniteSemiringTable,
@@ -32,7 +31,7 @@ from .semirings import (
     Semiring,
     _CheckReport,
     check_laws,
-    exhaustive_check_fits,
+    require_exhaustive_fit,
     table_semiring,
     trunc,
 )
@@ -112,8 +111,7 @@ class CongruenceQuotient:
 
 def _build_quotient(source: Semiring, classes: Sequence[ClassDesc], reps: Sequence[Scalar]) -> CongruenceQuotient:
     r = len(classes)
-    if not exhaustive_check_fits(r):  # before the r^2 table, whose laws it bounds
-        raise DomainError(f"a quotient of {r} classes exceeds the search budget of {SEARCH_BUDGET} scalar operations")
+    require_exhaustive_fit(r, f"a quotient of {r} classes")  # before the r^2 table, whose laws it bounds
     add_fn, mul_fn = source._add, source._mul
     add = tuple(tuple(_class_index(source, classes, add_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))
     mul = tuple(tuple(_class_index(source, classes, mul_fn(reps[i], reps[j])) for j in range(r)) for i in range(r))

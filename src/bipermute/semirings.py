@@ -48,7 +48,9 @@ TABLE = "table"
 _ATOM_FAMILIES = (CHAIN, BOOLEAN, TABLE)
 _UNBOUNDED_FAMILIES = (TROPICAL, NAT_MAX, NEG_NAT_MAX)
 
-SEARCH_BUDGET = 4 * 10**7  # scalar operations any exhaustive enumeration may take, by its worst case
+# Scalar work any exhaustive enumeration may take, by its worst case: a search counts
+# one product (a multiply and an add) as one, a law check each addition or multiplication.
+SEARCH_BUDGET = 4 * 10**7
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class FiniteSemiringTable:
     ``check_axioms`` reports (``semiring_laws``) are checked on every index
     case at construction so downstream code may assume lawfulness; a broken
     law raises DomainError naming it and its first counterexample, and so
-    does a table too large for ``exhaustive_check_fits``.
+    does a table too large for ``require_exhaustive_fit``.
     """
 
     size: int
@@ -79,8 +81,7 @@ class FiniteSemiringTable:
             if any(not (0 <= v < n) for row in t for v in row):
                 raise DomainError(f"{name} table contains an out-of-range index")
         if self.validate:
-            if not exhaustive_check_fits(n):
-                raise DomainError(f"a table of {n} elements exceeds the search budget of {SEARCH_BUDGET} scalar operations")
+            require_exhaustive_fit(n, f"a table of {n} elements")
             laws = semiring_laws(lambda a, b: add[a][b], lambda a, b: mul[a][b], self.is_commutative)
             for check in _check_on_every_case(laws, range(n)):
                 if not check.passed:
@@ -628,9 +629,14 @@ def semiring_laws(add: Callable, mul: Callable, commutative: bool) -> tuple[Law,
 
 
 def exhaustive_check_fits(size: int) -> bool:
-    """Whether ``semiring_laws`` on every case over ``size`` elements fits ``SEARCH_BUDGET``:
-    a triple takes at most 25 scalar operations and a pair 5, so 116 elements fit."""
+    """Whether ``semiring_laws`` on every case fits ``SEARCH_BUDGET``: at most 25 operations a triple, 5 a pair."""
     return 25 * size**3 + 5 * size**2 <= SEARCH_BUDGET
+
+
+def require_exhaustive_fit(size: int, what: str) -> None:
+    """Refuse ``what``, an input of ``size`` elements to check on every case, past ``SEARCH_BUDGET``."""
+    if not exhaustive_check_fits(size):
+        raise DomainError(f"{what} exceeds the search budget of {SEARCH_BUDGET} scalar operations")
 
 
 def check_axioms(desc: Semiring, seed: int = 0, trials: int = 1000) -> AxiomReport:
